@@ -40,6 +40,8 @@ type record struct {
 	Goos       string  `json:"goos"`
 	Goarch     string  `json:"goarch"`
 	CPU        string  `json:"cpu"`
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	Benchmarks []entry `json:"benchmarks"`
 }
 
@@ -78,10 +80,12 @@ func main() {
 	rec := record{
 		Comment: "Scheduler-core benchmark record over the benchkit instance ladder. " +
 			"Regenerate with: go run ./cmd/bench -out BENCH_sched.json",
-		Date:   time.Now().Format("2006-01-02"),
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		CPU:    cpuModel(),
+		Date:       time.Now().Format("2006-01-02"),
+		Goos:       runtime.GOOS,
+		Goarch:     runtime.GOARCH,
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	if *simMode {
 		rec.Comment = "Benchmark record for the Monte-Carlo simulation layer: single-iteration " +

@@ -28,7 +28,10 @@
 // head run alone: the fast variant of a benchmark pair must beat the
 // slow one by at least the given ratio — how CI locks in that the
 // pooled campaign engine actually scales. -min-cpus keeps that gate
-// advisory on machines too narrow to demonstrate parallelism.
+// advisory on machines too narrow to demonstrate parallelism, but never
+// silent: an unenforced gate reports "skipped": true in the JSON verdict
+// and prints "SKIPPED: speedup gate needs N CPUs, have M" to stderr,
+// which CI turns into a warning annotation.
 //
 // -json replaces the table with a machine-readable report on stdout
 // (the exit code is unchanged), for archiving the verdict as a CI
@@ -86,6 +89,9 @@ func main() {
 		sv = speedupGate(head, *speedupSlow, *speedupFast, *minSpeedup, runtime.NumCPU(), *minCPUs)
 		if sv.Failed {
 			failed = true
+		}
+		if sv.Skipped {
+			fmt.Fprintln(os.Stderr, sv.skipLine())
 		}
 	}
 	if *jsonOut {
@@ -149,19 +155,28 @@ type speedupVerdict struct {
 	Fast     string  `json:"fast"`
 	Min      float64 `json:"min"`
 	Ratio    float64 `json:"ratio,omitempty"`
+	CPUs     int     `json:"cpus"`
+	MinCPUs  int     `json:"min_cpus"`
 	Enforced bool    `json:"enforced"`
+	Skipped  bool    `json:"skipped"`
 	Failed   bool    `json:"failed"`
 	Note     string  `json:"note"`
 }
 
+// skipLine is the stderr notice of a measured but unenforced speedup
+// gate.
+func (sv *speedupVerdict) skipLine() string {
+	return fmt.Sprintf("SKIPPED: speedup gate needs %d CPUs, have %d", sv.MinCPUs, sv.CPUs)
+}
+
 // speedupGate checks head[slow].ns / head[fast].ns >= min. On machines
 // with fewer than minCPUs CPUs the gate records the ratio but does not
-// enforce it: a 1- or 2-core box cannot demonstrate pool scaling, and
-// failing there would make the gate unrunnable locally. Missing
-// benchmarks fail even unenforced — the pair must exist so the gate
-// cannot be disabled by deleting its inputs.
+// enforce it — it marks the verdict skipped instead: a 1- or 2-core box
+// cannot demonstrate pool scaling, and failing there would make the gate
+// unrunnable locally. Missing benchmarks fail even unenforced — the pair
+// must exist so the gate cannot be disabled by deleting its inputs.
 func speedupGate(head map[string]sample, slow, fast string, min float64, cpus, minCPUs int) *speedupVerdict {
-	sv := &speedupVerdict{Slow: slow, Fast: fast, Min: min, Enforced: cpus >= minCPUs}
+	sv := &speedupVerdict{Slow: slow, Fast: fast, Min: min, CPUs: cpus, MinCPUs: minCPUs, Enforced: cpus >= minCPUs}
 	s, okS := head[slow]
 	f, okF := head[fast]
 	switch {
@@ -175,6 +190,7 @@ func speedupGate(head map[string]sample, slow, fast string, min float64, cpus, m
 		sv.Ratio = s.ns / f.ns
 		switch {
 		case !sv.Enforced:
+			sv.Skipped = true
 			sv.Note = fmt.Sprintf("speedup %s/%s = %.2fx (want >= %.2fx; not enforced, %d CPUs < %d)",
 				slow, fast, sv.Ratio, min, cpus, minCPUs)
 		case sv.Ratio < min:

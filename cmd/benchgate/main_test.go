@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -134,7 +136,7 @@ func TestSpeedupGate(t *testing.T) {
 	}
 	// ...but is recorded without failing on a machine too narrow to
 	// demonstrate pool scaling.
-	if sv := speedupGate(head, slow, fast, 3, 2, 4); sv.Failed || sv.Enforced || sv.Ratio != 2 {
+	if sv := speedupGate(head, slow, fast, 3, 2, 4); sv.Failed || sv.Enforced || !sv.Skipped || sv.Ratio != 2 {
 		t.Fatalf("narrow-machine speedup not skipped cleanly: %+v", sv)
 	}
 
@@ -147,5 +149,33 @@ func TestSpeedupGate(t *testing.T) {
 	// Unset names fail loudly rather than gating nothing.
 	if sv := speedupGate(head, "", "", 3, 8, 4); !sv.Failed {
 		t.Fatalf("empty pair passed: %+v", sv)
+	}
+}
+
+// TestSpeedupGateSkipIsLoud checks an unenforced speedup gate is never
+// a silent pass: the verdict is marked skipped (in its JSON form too)
+// and carries the stderr notice CI turns into a warning annotation,
+// while an enforced gate is not marked skipped.
+func TestSpeedupGateSkipIsLoud(t *testing.T) {
+	head := map[string]sample{
+		"BenchmarkCampaign/sequential": {ns: 3000},
+		"BenchmarkCampaign/pooled-8":   {ns: 900},
+	}
+	sv := speedupGate(head, "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8", 3, 2, 4)
+	if !sv.Skipped || sv.Failed {
+		t.Fatalf("unenforced gate not marked skipped: %+v", sv)
+	}
+	if got, want := sv.skipLine(), "SKIPPED: speedup gate needs 4 CPUs, have 2"; got != want {
+		t.Fatalf("skip notice %q, want %q", got, want)
+	}
+	data, err := json.Marshal(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"skipped":true`) {
+		t.Fatalf("JSON verdict does not report the skip: %s", data)
+	}
+	if sv := speedupGate(head, "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8", 3, 8, 4); sv.Skipped {
+		t.Fatalf("enforced gate marked skipped: %+v", sv)
 	}
 }

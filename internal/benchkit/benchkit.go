@@ -21,7 +21,7 @@ import (
 // Sizes is the canonical instance ladder the scheduler benchmarks and
 // cmd/bench run: small enough to iterate quickly, large enough that
 // asymptotics show. The 5000- and 10000-task rungs are the scale tier —
-// minutes, not milliseconds, per pipeline run — exercised by the
+// seconds, not milliseconds, per pipeline run — exercised by the
 // nightly benchmarks and gated behind BENCH_FULL_LADDER in the
 // schedulability test so the tier-1 suite stays fast.
 var Sizes = []int{10, 50, 200, 1000, 5000, 10000}

@@ -115,7 +115,7 @@ func BenchmarkPipeline50(b *testing.B)   { benchmarkPipeline(b, 50, false) }
 func BenchmarkPipeline200(b *testing.B)  { benchmarkPipeline(b, 200, false) }
 func BenchmarkPipeline1000(b *testing.B) { benchmarkPipeline(b, 1000, false) }
 
-// The scale tier: ~10s (5000) and ~70s (10000) per op, so a single
+// The scale tier: ~1s (5000) and ~5s (10000) per op, so a single
 // iteration is already a stable measurement. Skipped under -short (and
 // therefore absent from the PR bench gate); the nightly job runs them.
 // No Naive variants: the from-scratch ablation is O(n^2) profile

@@ -1,6 +1,8 @@
 package power
 
 import (
+	"math"
+
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -38,9 +40,33 @@ type Tracker struct {
 	// free recycles the contribution slices of emptied buckets so that
 	// steady-state Move/Reset churn allocates nothing once the slices
 	// have grown to their working sizes.
-	free  [][]contrib
-	prof  Profile
-	dirty bool
+	free [][]contrib
+	// prof is the materialization of the reference schedule ref (when
+	// refOK). moved lists the tasks whose tracked start differs from
+	// their reference start, movedAt[v] being v's position in moved or
+	// -1. Bucket contents are canonical in (task, kind) order, so once
+	// every moved task is back at its reference start the buckets — and
+	// hence a materialization, its peak/floor and its segment index — are
+	// bit-identical to the reference: an undo leaves the tracker clean
+	// without re-materializing.
+	prof    Profile
+	ref     []model.Time
+	moved   []int
+	movedAt []int
+	refOK   bool
+	// refSteps and refTerms are the reference materialization's number
+	// of summed breakpoints and most terms in one breakpoint sum, and
+	// absSum is |base| + 2*sum|power|: the inputs of the float error
+	// bound CertainlyRejects certifies against. refFree caches the
+	// reference's FreeEnergyUsed(refFreePmin).
+	refSteps, refTerms   int
+	absSum               float64
+	refFree, refFreePmin float64
+	refFreeOK            bool
+	events               []event
+	// materializations counts profile materializations, for tests that
+	// guard how much work the heuristics make the tracker do.
+	materializations int
 	// maxP and minP are the materialized profile's peak and floor,
 	// maintained for free during the segment sweep so per-probe validity
 	// checks are O(1); idx is the hierarchical spike/gap index over the
@@ -70,11 +96,16 @@ type bucket struct {
 // NewTracker builds a tracker for the given tasks positioned at s.
 func NewTracker(tasks []model.Task, s schedule.Schedule, base float64) *Tracker {
 	tr := &Tracker{
-		tasks:  tasks,
-		base:   base,
-		start:  make([]model.Time, len(tasks)),
-		delays: make([]model.Time, len(tasks)),
-		powers: make([]float64, len(tasks)),
+		tasks:   tasks,
+		base:    base,
+		start:   make([]model.Time, len(tasks)),
+		delays:  make([]model.Time, len(tasks)),
+		powers:  make([]float64, len(tasks)),
+		ref:     make([]model.Time, len(tasks)),
+		movedAt: make([]int, len(tasks)),
+	}
+	for v := range tr.movedAt {
+		tr.movedAt[v] = -1
 	}
 	tr.Reset(s)
 	return tr
@@ -92,15 +123,22 @@ func (tr *Tracker) Reset(s schedule.Schedule) {
 		tr.buckets[i].cs = nil
 	}
 	tr.buckets = tr.buckets[:0]
+	tr.absSum = math.Abs(tr.base)
 	for v := range tr.tasks {
 		tr.delays[v] = tr.tasks[v].Delay
 		tr.powers[v] = tr.tasks[v].Power
+		tr.absSum += 2 * math.Abs(tr.powers[v])
 	}
 	for v := range tr.delays {
 		tr.add(tr.start[v], v, kindStart, tr.powers[v])
 		tr.add(tr.start[v]+tr.delays[v], v, kindEnd, -tr.powers[v])
 	}
-	tr.dirty = true
+	copy(tr.ref, tr.start)
+	for _, v := range tr.moved {
+		tr.movedAt[v] = -1
+	}
+	tr.moved = tr.moved[:0]
+	tr.refOK = false
 }
 
 // Move repositions task v to start at s, updating the affected
@@ -117,23 +155,45 @@ func (tr *Tracker) Move(v int, s model.Time) {
 	tr.start[v] = s
 	tr.add(s, v, kindStart, p)
 	tr.add(s+d, v, kindEnd, -p)
-	tr.dirty = true
+	switch at := tr.movedAt[v]; {
+	case s == tr.ref[v] && at >= 0:
+		last := tr.moved[len(tr.moved)-1]
+		tr.moved[at] = last
+		tr.movedAt[last] = at
+		tr.moved = tr.moved[:len(tr.moved)-1]
+		tr.movedAt[v] = -1
+	case s != tr.ref[v] && at < 0:
+		tr.movedAt[v] = len(tr.moved)
+		tr.moved = append(tr.moved, v)
+	}
 }
 
 // Start returns the tracked start time of task v.
 func (tr *Tracker) Start(v int) model.Time { return tr.start[v] }
 
-// Profile materializes the current power profile. The result is cached
-// until the next Move/Reset; callers must not retain it across
-// mutations (its segment slice is reused).
+// Profile materializes the current power profile, which becomes the
+// new reference. The result is cached until a Move/Reset changes the
+// schedule (moves that return every task to its reference start keep
+// it); callers must not retain it across mutations (its segment slice
+// is reused).
 func (tr *Tracker) Profile() Profile {
-	if !tr.dirty {
+	if tr.refOK && len(tr.moved) == 0 {
 		return tr.prof
 	}
 	tr.prof = tr.materialize(tr.prof.Segs[:0])
-	tr.dirty = false
+	tr.materializations++
+	for _, v := range tr.moved {
+		tr.ref[v] = tr.start[v]
+		tr.movedAt[v] = -1
+	}
+	tr.moved = tr.moved[:0]
+	tr.refOK = true
 	return tr.prof
 }
+
+// Materializations returns how many times the tracker has materialized
+// a profile since it was created.
+func (tr *Tracker) Materializations() int { return tr.materializations }
 
 // bucketIdx returns the position of time t in the bucket list and
 // whether a bucket at exactly t exists.
@@ -224,6 +284,8 @@ func (tr *Tracker) materialize(segs []Segment) Profile {
 	tr.maxP = negInf
 	tr.minP = posInf
 	tr.idxOK = false
+	tr.refFreeOK = false
+	tr.refSteps, tr.refTerms = 0, 0
 	// The finish time is the largest breakpoint: every task's end is a
 	// breakpoint at start+delay, and any breakpoint is a start or end
 	// bounded by some end, so max(breakpoint) == max(start+delay). The
@@ -265,6 +327,8 @@ func (tr *Tracker) materialize(segs []Segment) Profile {
 		if started {
 			flush(prevT, t)
 		}
+		tr.refSteps++
+		tr.refTerms = max(tr.refTerms, len(cs)+1)
 		cur += bs
 		prevT = t
 		started = true

@@ -2,6 +2,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -110,5 +111,188 @@ func TestTrackerDerivedQuantities(t *testing.T) {
 				t.Fatalf("move %d: At(%d) %v != %v", move, q, got.At(q), want.At(q))
 			}
 		}
+	}
+}
+
+// acceptFails is the gap-fill acceptance test CertainlyRejects
+// certifies against, evaluated on a from-scratch Build profile.
+func acceptFails(p Profile, pmax, pmin float64, tau model.Time, minU float64) bool {
+	return !p.Valid(pmax) || p.Duration() > tau || !(p.Utilization(pmin) > minU)
+}
+
+// adversarialInstance draws tasks built to stress the rejection bound:
+// non-dyadic powers (inexact in binary), a base that is sometimes huge
+// relative to the task powers, and starts packed into a short window so
+// breakpoints coincide and buckets hold many contributions.
+func adversarialInstance(rng *rand.Rand, n int) ([]model.Task, schedule.Schedule, float64) {
+	powers := []float64{0.1, 0.2, 0.3, 0.7, 1.1, 2.9, 1e-3}
+	window := 2 + rng.Intn(30)
+	tasks := make([]model.Task, n)
+	starts := make([]model.Time, n)
+	for i := range tasks {
+		p := powers[rng.Intn(len(powers))]
+		if rng.Intn(3) == 0 {
+			p = rng.Float64() * 13.7
+		}
+		tasks[i] = model.Task{Name: fmt.Sprintf("t%d", i), Delay: 1 + rng.Intn(4), Power: p}
+		starts[i] = model.Time(rng.Intn(window))
+	}
+	base := []float64{0, 0.3, 1e6, 12345.678}[rng.Intn(4)]
+	return tasks, schedule.Schedule{Start: starts}, base
+}
+
+// TestCertainlyRejectsSound drives trackers through random and
+// adversarial move sets and checks that every certified rejection is a
+// rejection of the Build profile under the same thresholds, including
+// thresholds set exactly at (and one ulp either side of) the moved
+// schedule's own peak, utilization and finish — the near-ties where an
+// unsound bound would show. After the moves are undone the tracker must
+// be clean: Profile() equals Build bit for bit without materializing.
+func TestCertainlyRejectsSound(t *testing.T) {
+	certified, undecidedAccepts := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		tasks, s, base := adversarialInstance(rng, n)
+		tr := NewTracker(tasks, s, base)
+		ref := tr.Profile()
+		refTau := ref.Duration()
+		refPeak := ref.Peak()
+		pmins := []float64{ref.Floor(), (ref.Floor() + refPeak) / 2, refPeak, refPeak + 0.1}
+		mats := tr.Materializations()
+
+		for trial := 0; trial < 8; trial++ {
+			// Move a few tasks (sometimes many): later, earlier, or past
+			// the finish time, sometimes onto another task's breakpoint.
+			k := 1 + rng.Intn(3)
+			if rng.Intn(8) == 0 {
+				k = n
+			}
+			orig := append([]model.Time(nil), s.Start...)
+			for j := 0; j < k; j++ {
+				v := rng.Intn(n)
+				switch rng.Intn(4) {
+				case 0:
+					s.Start[v] = s.Start[rng.Intn(n)]
+				case 1:
+					s.Start[v] = refTau + model.Time(rng.Intn(3)) // may grow tau
+				default:
+					s.Start[v] = model.Time(rng.Intn(int(refTau) + 1))
+				}
+				tr.Move(v, s.Start[v])
+			}
+			want := Build(tasks, s, base)
+			peak, tau := want.Peak(), want.Duration()
+			for _, pmin := range pmins {
+				if !(pmin > 0) {
+					continue
+				}
+				u := want.Utilization(pmin)
+				uRef := ref.Utilization(pmin)
+				for _, pmax := range []float64{peak, math.Nextafter(peak, math.Inf(-1)), math.Nextafter(peak, math.Inf(1)), refPeak, 1e300} {
+					for _, minU := range []float64{u, math.Nextafter(u, math.Inf(-1)), math.Nextafter(u, math.Inf(1)),
+						uRef, uRef + 1e-9, u - 1e-9, -1} {
+						for _, tauMax := range []model.Time{refTau, tau, tau - 1} {
+							fails := acceptFails(want, pmax, pmin, tauMax, minU)
+							if tr.CertainlyRejects(pmax, pmin, tauMax, minU) {
+								certified++
+								if !fails {
+									t.Fatalf("seed %d trial %d: certified rejection of an accepted move "+
+										"(pmax %v pmin %v tau %d minU %v; peak %v util %v finish %d)",
+										seed, trial, pmax, pmin, tauMax, minU, peak, u, tau)
+								}
+							} else if !fails {
+								undecidedAccepts++
+							}
+						}
+					}
+				}
+			}
+			if got := tr.Materializations(); got != mats {
+				t.Fatalf("seed %d trial %d: CertainlyRejects materialized (%d -> %d)", seed, trial, mats, got)
+			}
+			// Undo in random order; the tracker must come back clean.
+			for _, j := range rng.Perm(n) {
+				s.Start[j] = orig[j]
+				tr.Move(j, orig[j])
+			}
+			if got, want := tr.Profile(), Build(tasks, s, base); !profilesEqual(got, want) {
+				t.Fatalf("seed %d trial %d: post-undo profile mismatch\n got %v\nwant %v", seed, trial, got, want)
+			}
+			if got := tr.Materializations(); got != mats {
+				t.Fatalf("seed %d trial %d: undo re-materialized (%d -> %d)", seed, trial, mats, got)
+			}
+		}
+	}
+	if certified == 0 || undecidedAccepts == 0 {
+		t.Fatalf("vacuous run: %d certified rejections, %d accepted probes", certified, undecidedAccepts)
+	}
+}
+
+// TestCertainlyRejectsCertifiesLocalMoves checks the bound is tight
+// enough to be useful: on a long schedule, moving one task away from
+// a below-pmin stretch strictly loses utilization and is certified
+// without materializing, and a move that grows the finish time is
+// certified from the finish alone.
+func TestCertainlyRejectsCertifiesLocalMoves(t *testing.T) {
+	const n = 2000
+	tasks := make([]model.Task, n)
+	starts := make([]model.Time, n)
+	for i := range tasks {
+		tasks[i] = model.Task{Name: fmt.Sprintf("t%d", i), Delay: 3, Power: 0.1 * float64(1+i%7)}
+		starts[i] = model.Time(2 * i)
+	}
+	s := schedule.Schedule{Start: starts}
+	tr := NewTracker(tasks, s, 0.3)
+	ref := tr.Profile()
+	pmin, tau := 0.9, ref.Duration()
+	minU := ref.Utilization(pmin) + 1e-9
+	mats := tr.Materializations()
+
+	tr.Move(10, 11) // overlaps its neighbour more: less of the profile below pmin is filled
+	if !tr.CertainlyRejects(1e9, pmin, tau, minU) {
+		t.Fatal("local utilization loss not certified")
+	}
+	if !acceptFails(Build(tasks, schedule.Schedule{Start: tr.start}, 0.3), 1e9, pmin, tau, minU) {
+		t.Fatal("test premise: the move should be rejected")
+	}
+	tr.Move(10, 20)
+	tr.Move(n-1, tau) // grows tau
+	if !tr.CertainlyRejects(1e9, pmin, tau, minU) {
+		t.Fatal("finish-time growth not certified")
+	}
+	tr.Move(n-1, starts[n-1])
+	tr.Move(10, starts[10])
+	if tr.CertainlyRejects(1e9, pmin, tau, minU) {
+		t.Fatal("clean tracker certified a rejection")
+	}
+	if got := tr.Materializations(); got != mats {
+		t.Fatalf("materialized during certification/undo: %d -> %d", mats, got)
+	}
+}
+
+// TestCertainlyRejectsAllocFree pins the probe path's allocation
+// behaviour: once the tracker's buffers are warm, a move, its
+// certification and its undo allocate nothing.
+func TestCertainlyRejectsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tasks, s := randomInstance(rng, 200)
+	tr := NewTracker(tasks, s, 0.5)
+	ref := tr.Profile()
+	pmin := ref.Peak() / 2
+	minU := ref.Utilization(pmin) + 1e-9
+	tau := ref.Duration()
+	probe := func() {
+		for v := 0; v < 20; v++ {
+			tr.Move(v, s.Start[v]+1)
+			tr.Move(v+20, s.Start[v+20]+2)
+			tr.CertainlyRejects(ref.Peak(), pmin, tau, minU)
+			tr.Move(v+20, s.Start[v+20])
+			tr.Move(v, s.Start[v])
+		}
+	}
+	probe()
+	if avg := testing.AllocsPerRun(10, probe); avg != 0 {
+		t.Fatalf("warm probe cycle allocates %.1f times", avg)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"repro/internal/model"
+	"repro/internal/power"
 	"repro/internal/schedule"
 )
 
@@ -151,33 +152,17 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 	// The profile covers [0, Finish), so its extent is the finish time.
 	tau := prof.Duration()
 
-	// End of the gap beginning at t, for the finish-at-gap-end slot.
-	// The incremental path answers from the tracker's segment index in
-	// O(log m); the naive path walks the contiguous segments, merging
+	// End of the gap beginning at t, read only by the finish-at-gap-end
+	// slot. The incremental path answers from the tracker's segment index
+	// in O(log m); the naive path walks the contiguous segments, merging
 	// adjacent below-Pmin runs exactly like Gaps, without materializing
 	// the interval list.
 	gapEnd := t + 1
-	if !st.opts.Naive {
-		gapEnd = st.tr.RunEndBelow(t, prob.Pmin)
-	} else {
-		var g0, g1 model.Time
-		have := false
-		for _, s := range prof.Segs {
-			if s.P >= prob.Pmin {
-				continue
-			}
-			if have && g1 == s.T0 {
-				g1 = s.T1
-				continue
-			}
-			if have && g0 <= t && t < g1 {
-				break
-			}
-			g0, g1 = s.T0, s.T1
-			have = true
-		}
-		if have && g0 <= t && t < g1 {
-			gapEnd = g1
+	if slot == SlotFinishAtGapEnd {
+		if !st.opts.Naive {
+			gapEnd = st.tr.RunEndBelow(t, prob.Pmin)
+		} else {
+			gapEnd = naiveGapEnd(prof, t, prob.Pmin)
 		}
 	}
 
@@ -217,7 +202,10 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 
 		cp := st.g.Mark()
 		changed, ok := st.delay(v, newStart)
-		if ok {
+		// The tracker settles most rejections from the moved tasks'
+		// intervals alone; the rest, and every acceptance, take the
+		// full materialized check. The naive path always does.
+		if ok && (st.opts.Naive || !st.tr.CertainlyRejects(prob.Pmax, prob.Pmin, tau, curU+utilEps)) {
 			np := st.prof(sigma)
 			if st.powerValid(np, prob.Pmax) && np.Duration() <= tau {
 				if u := np.Utilization(prob.Pmin); u > curU+utilEps && st.timeValid(sigma) {
@@ -232,6 +220,31 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		st.st.Rejected++
 	}
 	return false
+}
+
+// naiveGapEnd returns the end of the maximal below-pmin run of prof
+// containing t, or t+1 when t lies in no such run.
+func naiveGapEnd(prof power.Profile, t model.Time, pmin float64) model.Time {
+	var g0, g1 model.Time
+	have := false
+	for _, s := range prof.Segs {
+		if s.P >= pmin {
+			continue
+		}
+		if have && g1 == s.T0 {
+			g1 = s.T1
+			continue
+		}
+		if have && g0 <= t && t < g1 {
+			break
+		}
+		g0, g1 = s.T0, s.T1
+		have = true
+	}
+	if have && g0 <= t && t < g1 {
+		return g1
+	}
+	return t + 1
 }
 
 // gapCand is a gap-fill candidate with its selection keys.
