@@ -193,26 +193,6 @@ func BenchmarkAblationRestarts(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalRelax ablates the incremental longest-path
-// update inside the schedulers' delay operation against a full
-// recompute per delay. Schedules are identical; only speed differs.
-func BenchmarkIncrementalRelax(b *testing.B) {
-	p := analysis.Generate(analysis.GenConfig{Tasks: 100, Seed: 42})
-	for _, full := range []bool{false, true} {
-		name := "incremental"
-		if full {
-			name = "full-recompute"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.Run(p.Clone(), sched.Options{FullRecompute: full}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEditorReschedule measures the lock-and-reschedule loop of an
 // interactive session.
 func BenchmarkEditorReschedule(b *testing.B) {

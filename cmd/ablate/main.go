@@ -40,7 +40,6 @@ func main() {
 		"slot-start-only":    {Seed: *seed, SlotChoices: []sched.SlotChoice{sched.SlotStartAtGap}},
 		"slot-finish-only":   {Seed: *seed, SlotChoices: []sched.SlotChoice{sched.SlotFinishAtGapEnd}},
 		"locks-disabled":     {Seed: *seed, DisableLocks: true},
-		"full-recompute":     {Seed: *seed, FullRecompute: true},
 		"multi-restart":      {Seed: *seed, Restarts: *restarts},
 		"single-scan-budget": {Seed: *seed, MaxScans: 1},
 		"compaction":         {Seed: *seed, Compact: true},

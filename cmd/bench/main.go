@@ -8,11 +8,9 @@
 //	go run ./cmd/bench -out BENCH_sched.json
 //	go run ./cmd/bench -sim -out BENCH_sim.json
 //
-// Each size is measured twice: the incremental pipeline (power profile
-// maintained as segment deltas, slack cached with dirty-set
-// invalidation) and the Naive ablation (power.Build at every probe,
-// slack recomputed from the graph), so the record doubles as the
-// before/after evidence for the incremental core.
+// Each size measures the full pipeline on the incremental scheduler
+// core (power profile maintained as segment deltas, slack cached with
+// dirty-set invalidation).
 package main
 
 import (
@@ -57,7 +55,6 @@ type entry struct {
 func main() {
 	out := flag.String("out", "-", "output path, or - for stdout")
 	sizes := flag.String("sizes", "", "comma-separated instance sizes (default: the full benchkit ladder)")
-	naive := flag.Bool("naive", true, "also measure the Naive ablation per size")
 	restarts := flag.Bool("restarts", true, "also measure the restart portfolio (sequential and parallel) on the 50-task instance")
 	machines := flag.Bool("machines", true, "also measure the heterogeneous (4-machine, DVS) 50-task instance")
 	serving := flag.Bool("serving", true, "also measure the serving tier (warm batch dispatch, persistent-store reads)")
@@ -96,13 +93,7 @@ func main() {
 		return
 	}
 	for _, n := range ns {
-		rec.Benchmarks = append(rec.Benchmarks, measure(n, false))
-		// The Naive ablation rebuilds the profile and slack from scratch
-		// per probe; past the scale tier that is hours per run, and the
-		// before/after story is already told by the smaller sizes.
-		if *naive && n <= benchkit.ScaleTier {
-			rec.Benchmarks = append(rec.Benchmarks, measure(n, true))
-		}
+		rec.Benchmarks = append(rec.Benchmarks, measure(n))
 	}
 	if *restarts {
 		for _, cfg := range []struct{ restarts, workers int }{
@@ -142,10 +133,9 @@ func writeRecord(out string, rec record) {
 // measure runs the full three-stage pipeline (with compaction) on the
 // ladder instance of the given size, mirroring BenchmarkPipeline* in
 // internal/benchkit.
-func measure(n int, naive bool) entry {
+func measure(n int) entry {
 	p := benchkit.Generate(n, 1)
 	opts := benchkit.Options(n)
-	opts.Naive = naive
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -156,10 +146,6 @@ func measure(n int, naive bool) entry {
 	})
 	name := fmt.Sprintf("BenchmarkPipeline%d", n)
 	desc := fmt.Sprintf("full pipeline on the %d-task ladder instance, incremental core", n)
-	if naive {
-		name = fmt.Sprintf("BenchmarkPipelineNaive%d", n)
-		desc = fmt.Sprintf("full pipeline on the %d-task ladder instance, naive ablation (rebuild profile and slack per probe)", n)
-	}
 	fmt.Fprintf(os.Stderr, "%-28s %12d ns/op %12d B/op %8d allocs/op\n",
 		name, res.NsPerOp(), res.AllocedBytesPerOp(), res.AllocsPerOp())
 	return entry{

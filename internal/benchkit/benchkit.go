@@ -27,8 +27,7 @@ import (
 var Sizes = []int{10, 50, 200, 1000, 5000, 10000}
 
 // ScaleTier is the size above which an instance belongs to the scale
-// tier: no Naive-ablation measurement (the from-scratch rebuilds take
-// hours there) and nightly-only schedulability checks.
+// tier: its schedulability checks run nightly only.
 const ScaleTier = 1000
 
 // Generate builds the deterministic synthetic problem with n tasks for

@@ -80,10 +80,9 @@ func TestGenerateMachinesSchedulable(t *testing.T) {
 
 // benchmarkPipeline measures the full three-stage pipeline (with
 // compaction) on the ladder instance of the given size.
-func benchmarkPipeline(b *testing.B, n int, naive bool) {
+func benchmarkPipeline(b *testing.B, n int) {
 	p := Generate(n, 1)
 	opts := Options(n)
-	opts.Naive = naive
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,16 +109,14 @@ func BenchmarkPipelineMachines4(b *testing.B) {
 	}
 }
 
-func BenchmarkPipeline10(b *testing.B)   { benchmarkPipeline(b, 10, false) }
-func BenchmarkPipeline50(b *testing.B)   { benchmarkPipeline(b, 50, false) }
-func BenchmarkPipeline200(b *testing.B)  { benchmarkPipeline(b, 200, false) }
-func BenchmarkPipeline1000(b *testing.B) { benchmarkPipeline(b, 1000, false) }
+func BenchmarkPipeline10(b *testing.B)   { benchmarkPipeline(b, 10) }
+func BenchmarkPipeline50(b *testing.B)   { benchmarkPipeline(b, 50) }
+func BenchmarkPipeline200(b *testing.B)  { benchmarkPipeline(b, 200) }
+func BenchmarkPipeline1000(b *testing.B) { benchmarkPipeline(b, 1000) }
 
 // The scale tier: ~1s (5000) and ~5s (10000) per op, so a single
 // iteration is already a stable measurement. Skipped under -short (and
 // therefore absent from the PR bench gate); the nightly job runs them.
-// No Naive variants: the from-scratch ablation is O(n^2) profile
-// rebuilds per probe and would take hours at this size.
 func BenchmarkPipeline5000(b *testing.B)  { benchmarkPipelineScale(b, 5000) }
 func BenchmarkPipeline10000(b *testing.B) { benchmarkPipelineScale(b, 10000) }
 
@@ -127,7 +124,7 @@ func benchmarkPipelineScale(b *testing.B, n int) {
 	if testing.Short() {
 		b.Skipf("n=%d is scale-tier; skipped under -short", n)
 	}
-	benchmarkPipeline(b, n, false)
+	benchmarkPipeline(b, n)
 }
 
 // BenchmarkPipelineCtx50 runs the n=50 instance through the
@@ -170,11 +167,3 @@ func BenchmarkPipelineRestarts8(b *testing.B)     { benchmarkPipelineRestarts(b,
 func BenchmarkPipelineRestarts32(b *testing.B)    { benchmarkPipelineRestarts(b, 32, 1) }
 func BenchmarkPipelineRestarts8Par(b *testing.B)  { benchmarkPipelineRestarts(b, 8, 8) }
 func BenchmarkPipelineRestarts32Par(b *testing.B) { benchmarkPipelineRestarts(b, 32, 8) }
-
-// The Naive variants run the same instances with the incremental core
-// disabled (power.Build at every probe, slack recomputed from the
-// graph): the before/after pair recorded in BENCH_sched.json.
-func BenchmarkPipelineNaive10(b *testing.B)   { benchmarkPipeline(b, 10, true) }
-func BenchmarkPipelineNaive50(b *testing.B)   { benchmarkPipeline(b, 50, true) }
-func BenchmarkPipelineNaive200(b *testing.B)  { benchmarkPipeline(b, 200, true) }
-func BenchmarkPipelineNaive1000(b *testing.B) { benchmarkPipeline(b, 1000, true) }

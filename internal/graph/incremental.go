@@ -1,78 +1,5 @@
 package graph
 
-// AddEdgeRelax adds the edge and incrementally updates dist — a valid
-// single-source longest-path solution for the graph *before* the
-// addition — to the solution *after* it, by relaxing outward from the
-// edge's head. This is the scheduler's inner loop: a delay edge
-// typically shifts only a small cone of successors, so relaxing from
-// the change is much cheaper than recomputing from the source.
-//
-// ok is false when the new edge closes a positive cycle; dist is then
-// partially updated and the caller must roll the edge back and discard
-// dist (Rollback restores the graph; the caller re-derives dist from
-// its last good schedule).
-func (g *Graph) AddEdgeRelax(dist []int, from, to, w int) (ok bool) {
-	_, ok = g.AddEdgeRelaxTouched(dist, from, to, w, nil)
-	return ok
-}
-
-// AddEdgeRelaxTouched is AddEdgeRelax that additionally reports which
-// vertices the relaxation moved: every vertex whose dist entry changed
-// is appended (once, in first-touch order) to touched, and the grown
-// slice is returned. The incremental scheduler core uses the touched
-// set to apply power-profile deltas and to invalidate cached slacks for
-// exactly the shifted cone of successors instead of the whole task set.
-// When ok is false the touched set is meaningless, like dist.
-//
-// The relaxation queue and its membership marks live in graph-owned
-// scratch reused across calls (epoch-stamped, so reuse needs no
-// clearing). Like every mutating graph method, concurrent calls on a
-// shared graph are not safe.
-func (g *Graph) AddEdgeRelaxTouched(dist []int, from, to, w int, touched []int) ([]int, bool) {
-	g.AddEdge(from, to, w)
-	if dist[from] == NoPath || dist[from]+w <= dist[to] {
-		return touched, true
-	}
-	dist[to] = dist[from] + w
-
-	s := g.relaxScratch()
-	epoch := s.epoch
-	queue := s.queue[:0]
-	queue = append(queue, to)
-	s.queueGen[to] = epoch
-	touched = append(touched, to)
-	s.touchGen[to] = epoch
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		s.queueGen[u] = 0
-		if s.countGen[u] != epoch {
-			s.countGen[u] = epoch
-			s.count[u] = 0
-		}
-		s.count[u]++
-		if s.count[u] > g.n {
-			s.queue = queue
-			return touched, false
-		}
-		du := dist[u]
-		for _, e := range g.out[u] {
-			if nd := du + e.W; nd > dist[e.To] {
-				dist[e.To] = nd
-				if s.touchGen[e.To] != epoch {
-					touched = append(touched, e.To)
-					s.touchGen[e.To] = epoch
-				}
-				if s.queueGen[e.To] != epoch {
-					queue = append(queue, e.To)
-					s.queueGen[e.To] = epoch
-				}
-			}
-		}
-	}
-	s.queue = queue
-	return touched, true
-}
-
 // DistSave records one overwritten longest-path entry: vertex V held
 // Old before the relaxation that journaled it first touched it.
 type DistSave struct {
@@ -80,18 +7,30 @@ type DistSave struct {
 	Old int
 }
 
-// AddEdgeRelaxUndo is AddEdgeRelaxTouched with an undo journal instead
-// of a touched set: the first time a call moves a vertex's dist entry it
-// appends (vertex, previous value) to undo, so replaying the returned
-// slice backwards — undo[i].V gets undo[i].Old, from the end down to
-// the caller's mark — restores dist exactly as it was before the call.
-// Unlike the touched set, the journal is valid even when ok is false
-// (the edge closed a positive cycle): the entries recorded up to the
-// detection point are precisely the writes that must be undone, which
-// is what lets callers keep a single live distance vector instead of
-// snapshotting it per speculative edge. Entries appear in first-touch
-// order, and a caller batching several calls into one journal restores
-// across all of them with the same backwards replay.
+// AddEdgeRelaxUndo adds the edge and incrementally updates dist — a
+// valid single-source longest-path solution for the graph *before* the
+// addition — to the solution *after* it, by relaxing outward from the
+// edge's head. This is the scheduler's inner loop: a delay or
+// serialization edge typically shifts only a small cone of successors,
+// so relaxing from the change is much cheaper than recomputing from the
+// source. ok is false when the new edge closes a positive cycle.
+//
+// The first time a call moves a vertex's dist entry it appends (vertex,
+// previous value) to undo, so replaying the returned slice backwards —
+// undo[i].V gets undo[i].Old, from the end down to the caller's mark —
+// restores dist exactly as it was before the call. The journal is valid
+// even when ok is false: the entries recorded up to the detection point
+// are precisely the writes that must be undone, which is what lets
+// callers keep a single live distance vector instead of snapshotting it
+// per speculative edge. Entries appear in first-touch order, so the
+// journal's vertex set is exactly the set of moved vertices, and a
+// caller batching several calls into one journal restores across all of
+// them with the same backwards replay.
+//
+// The relaxation queue and its membership marks live in graph-owned
+// scratch reused across calls (epoch-stamped, so reuse needs no
+// clearing). Like every mutating graph method, concurrent calls on a
+// shared graph are not safe.
 func (g *Graph) AddEdgeRelaxUndo(dist []int, from, to, w int, undo []DistSave) ([]DistSave, bool) {
 	g.AddEdge(from, to, w)
 	if dist[from] == NoPath || dist[from]+w <= dist[to] {
@@ -184,7 +123,7 @@ func (g *Graph) LongestFromInto(dist []int, src int) (ok bool) {
 	return true
 }
 
-// scratch holds the relaxation workspace reused by AddEdgeRelaxTouched
+// scratch holds the relaxation workspace reused by AddEdgeRelaxUndo
 // and LongestFromInto. Membership marks are epoch-stamped: a vertex is
 // marked iff its gen entry equals the current call's epoch, so starting
 // a call costs one counter increment instead of three O(n) clears.
@@ -192,7 +131,7 @@ func (g *Graph) LongestFromInto(dist []int, src int) (ok bool) {
 type scratch struct {
 	epoch    int
 	queueGen []int // epoch when the vertex was last enqueued
-	touchGen []int // epoch when the vertex was last reported touched
+	touchGen []int // epoch when the vertex was last journaled
 	countGen []int // epoch of the vertex's dequeue counter
 	count    []int // dequeues this epoch; > n implies a positive cycle
 	queue    []int

@@ -34,10 +34,55 @@ func profilesEqual(a, b Profile) bool {
 	return reflect.DeepEqual(a.Segs, b.Segs)
 }
 
+// runEnd is the reference for RunEndAbove and RunEndBelow: the end of
+// the interval of ivs (Spikes or Gaps of a Build profile) containing t,
+// or t+1 when none does.
+func runEnd(ivs []Interval, t model.Time) model.Time {
+	for _, iv := range ivs {
+		if iv.T0 <= t && t < iv.T1 {
+			return iv.T1
+		}
+	}
+	return t + 1
+}
+
+// checkIndexQueries compares the tracker's segment-index answers
+// (ValidMax, FirstAbove, RunEndAbove, RunEndBelow) with walks over the
+// segments of want, the Build profile of the same schedule. Thresholds
+// are every segment power of want and one ulp either side — where a >
+// versus >= slip would show — and query times are every segment start
+// plus the finish time.
+func checkIndexQueries(t *testing.T, label string, tr *Tracker, want Profile) {
+	t.Helper()
+	for _, seg := range want.Segs {
+		for _, x := range []float64{seg.P, math.Nextafter(seg.P, math.Inf(-1)), math.Nextafter(seg.P, math.Inf(1))} {
+			if got, w := tr.ValidMax(x), want.Valid(x); got != w {
+				t.Fatalf("%s: ValidMax(%v) = %v, walk %v", label, x, got, w)
+			}
+			spikes, gaps := want.Spikes(x), want.Gaps(x)
+			ft, fok := tr.FirstAbove(x)
+			if fok != (len(spikes) > 0) || (fok && ft != spikes[0].T0) {
+				t.Fatalf("%s: FirstAbove(%v) = (%d, %v), spikes %v", label, x, ft, fok, spikes)
+			}
+			for _, q := range want.Segs {
+				for _, at := range []model.Time{q.T0, want.Duration()} {
+					if got, w := tr.RunEndAbove(at, x), runEnd(spikes, at); got != w {
+						t.Fatalf("%s: RunEndAbove(%d, %v) = %d, walk %d", label, at, x, got, w)
+					}
+					if got, w := tr.RunEndBelow(at, x), runEnd(gaps, at); got != w {
+						t.Fatalf("%s: RunEndBelow(%d, %v) = %d, walk %d", label, at, x, got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTrackerMatchesBuild drives a tracker through random move
 // sequences and checks after every single move that its profile is
 // bit-identical (same segment boundaries, same float64 power values) to
-// a from-scratch Build of the same schedule.
+// a from-scratch Build of the same schedule, and that its segment-index
+// queries agree with walks over the Build profile.
 func TestTrackerMatchesBuild(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -60,6 +105,7 @@ func TestTrackerMatchesBuild(t *testing.T) {
 				t.Fatalf("seed %d move %d: profile mismatch after moving task %d to %d\n got %v\nwant %v",
 					seed, move, v, s.Start[v], got, want)
 			}
+			checkIndexQueries(t, fmt.Sprintf("seed %d move %d", seed, move), tr, want)
 		}
 		// Reset back onto a fresh schedule and re-check.
 		_, s2 := randomInstance(rng, n)
@@ -85,8 +131,10 @@ func TestTrackerMoveNoop(t *testing.T) {
 
 // TestTrackerDerivedQuantities spot-checks that the quantities the
 // schedulers actually branch on (At, Spikes, Gaps, Utilization,
-// EnergyCost) agree between tracker and Build profiles, including after
-// moves that change the finish time tau.
+// EnergyCost, and the segment-index queries) agree between tracker and
+// Build profiles, including after moves that change the finish time tau
+// and on adversarial instances with coincident breakpoints and powers
+// summing to exact segment values.
 func TestTrackerDerivedQuantities(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tasks, s := randomInstance(rng, 9)
@@ -110,6 +158,18 @@ func TestTrackerDerivedQuantities(t *testing.T) {
 			if got.At(q) != want.At(q) {
 				t.Fatalf("move %d: At(%d) %v != %v", move, q, got.At(q), want.At(q))
 			}
+		}
+		checkIndexQueries(t, fmt.Sprintf("move %d", move), tr, want)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tasks, s, base := adversarialInstance(rng, 1+rng.Intn(20))
+		tr := NewTracker(tasks, s, base)
+		for move := 0; move < 20; move++ {
+			v := rng.Intn(len(tasks))
+			s.Start[v] = s.Start[rng.Intn(len(tasks))] + model.Time(rng.Intn(3))
+			tr.Move(v, s.Start[v])
+			checkIndexQueries(t, fmt.Sprintf("adversarial seed %d move %d", seed, move), tr, Build(tasks, s, base))
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/power"
 	"repro/internal/schedule"
 )
 
@@ -60,17 +59,10 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 		cur[e.To]++
 	}
 
-	// powerOK reports whether the current sigma respects the budget;
-	// the incremental path probes the tracker (which follows every
-	// trial shift below) in O(1), the naive path rebuilds from scratch.
+	// powerOK reports whether the current sigma respects the budget,
+	// probing the tracker (which follows every trial shift below) in O(1).
 	powerOK := func() bool {
-		if pmax == 0 {
-			return true
-		}
-		if st.opts.Naive {
-			return power.Build(tasks, sigma, st.c.Prob.BasePower).Valid(pmax)
-		}
-		return st.tr.ValidMax(pmax)
+		return pmax == 0 || audited(st, "validmax", 0, 0, st.tr.ValidMax(pmax))
 	}
 	const maxPasses = 20
 	for pass := 0; pass < maxPasses; pass++ {
@@ -83,17 +75,13 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 			for s := lb; s < sigma.Start[v]; s++ {
 				trial := sigma.Start[v]
 				sigma.Start[v] = s
-				if !st.opts.Naive {
-					st.tr.Move(v, s)
-				}
+				st.tr.Move(v, s)
 				if powerOK() {
 					changed = true
 					break
 				}
 				sigma.Start[v] = trial
-				if !st.opts.Naive {
-					st.tr.Move(v, trial)
-				}
+				st.tr.Move(v, trial)
 			}
 		}
 		if !changed {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -13,76 +12,34 @@ import (
 	"repro/internal/spec"
 )
 
-// diffOptions are the option sets the differential suite runs both
-// paths under: the plain pipeline, the compaction-enabled pipeline
+// diffOptions are the option sets the audited differential suite runs
+// under: the plain pipeline, the compaction-enabled pipeline
 // (exercising the tracker-driven left shifts), a restarted search, and
-// the full-recompute longest-path ablation combined with the
-// incremental caches.
+// a lock-free random-slot run.
 func diffOptions() []Options {
 	return []Options{
 		{Seed: 3},
 		{Seed: 3, Compact: true},
 		{Seed: 9, Compact: true, Restarts: 2},
-		{Seed: 3, FullRecompute: true},
+		{Seed: 3, DisableLocks: true, SlotChoices: []SlotChoice{SlotRandom}},
 	}
 }
 
-// assertBothPaths runs the pipeline with and without the incremental
-// core and requires byte-identical schedules, profiles, and finish
-// metrics. A problem that fails on both paths identically is fine;
-// diverging errors are not.
-func assertBothPaths(t *testing.T, label string, p *model.Problem, opts Options) {
-	t.Helper()
-	naiveOpts := opts
-	naiveOpts.Naive = true
-	inc, incErr := MinPower(p.Clone(), opts)
-	naive, naiveErr := MinPower(p.Clone(), naiveOpts)
-	if (incErr == nil) != (naiveErr == nil) {
-		t.Fatalf("%s: error divergence: incremental=%v naive=%v", label, incErr, naiveErr)
-	}
-	if incErr != nil {
-		return
-	}
-	if !inc.Schedule.Equal(naive.Schedule) {
-		t.Fatalf("%s: schedules diverge\n incremental %v\n naive       %v",
-			label, inc.Schedule.Start, naive.Schedule.Start)
-	}
-	if !reflect.DeepEqual(inc.Profile.Segs, naive.Profile.Segs) {
-		t.Fatalf("%s: profiles diverge\n incremental %v\n naive       %v",
-			label, inc.Profile, naive.Profile)
-	}
-	if inc.EnergyCost() != naive.EnergyCost() || inc.Utilization() != naive.Utilization() {
-		t.Fatalf("%s: metrics diverge: cost %v vs %v, util %v vs %v",
-			label, inc.EnergyCost(), naive.EnergyCost(), inc.Utilization(), naive.Utilization())
-	}
-	// The per-stage entry points must agree too: MaxPower exercises
-	// fixSpike in isolation (no gap filling masking a divergence).
-	incMax, e1 := MaxPower(p.Clone(), opts)
-	naiveMax, e2 := MaxPower(p.Clone(), naiveOpts)
-	if (e1 == nil) != (e2 == nil) {
-		t.Fatalf("%s: max-power error divergence: %v vs %v", label, e1, e2)
-	}
-	if e1 == nil && !incMax.Schedule.Equal(naiveMax.Schedule) {
-		t.Fatalf("%s: max-power schedules diverge\n incremental %v\n naive       %v",
-			label, incMax.Schedule.Start, naiveMax.Schedule.Start)
-	}
-}
-
-// TestDifferentialGenerated runs the incremental-vs-naive comparison
-// over the property-test generator's random layered problems.
+// TestDifferentialGenerated audits the incremental core over the
+// property-test generator's random layered problems.
 func TestDifferentialGenerated(t *testing.T) {
 	for seed := int64(0); seed < 35; seed++ {
 		p := genProblem(seed)
 		for oi, opts := range diffOptions() {
-			assertBothPaths(t, fmt.Sprintf("gen seed %d opts %d", seed, oi), p, opts)
+			assertAudited(t, fmt.Sprintf("gen seed %d opts %d", seed, oi), p, opts)
 		}
 	}
 }
 
-// TestDifferentialSpecCorpus replays the pipeline fuzz corpus seeds —
-// the synthetic spec snippets plus every spec document in testdata —
-// through both paths.
-func TestDifferentialSpecCorpus(t *testing.T) {
+// specCorpus parses the pipeline fuzz corpus seeds — the synthetic spec
+// snippets plus every spec document in testdata.
+func specCorpus(t *testing.T) []*model.Problem {
+	t.Helper()
 	inputs := []string{
 		"task a R 2 4\ntask b S 2 4\npmax 10\n",
 		"pmax 16\npmin 14\ntask a A 3 6\ntask d A 4 10\na -> d [3,]\n",
@@ -104,25 +61,33 @@ func TestDifferentialSpecCorpus(t *testing.T) {
 		}
 		inputs = append(inputs, string(data))
 	}
+	probs := make([]*model.Problem, len(inputs))
 	for i, input := range inputs {
-		p, err := spec.ParseString(input)
-		if err != nil {
+		if probs[i], err = spec.ParseString(input); err != nil {
 			t.Fatalf("corpus input %d does not parse: %v", i, err)
 		}
+	}
+	return probs
+}
+
+// TestDifferentialSpecCorpus replays the spec corpus through the
+// audited pipeline.
+func TestDifferentialSpecCorpus(t *testing.T) {
+	for i, p := range specCorpus(t) {
 		for oi, opts := range diffOptions() {
-			assertBothPaths(t, fmt.Sprintf("spec %d opts %d", i, oi), p, opts)
+			assertAudited(t, fmt.Sprintf("spec %d opts %d", i, oi), p, opts)
 		}
 	}
 }
 
-// TestDifferentialRover runs both paths over the paper's rover
+// TestDifferentialRover audits the pipeline over the paper's rover
 // iteration graphs (all three Table 2 cases, cold and warm).
 func TestDifferentialRover(t *testing.T) {
 	for _, c := range []rover.Case{rover.Best, rover.Typical, rover.Worst} {
 		for _, k := range []rover.IterationKind{rover.Cold, rover.ColdPreheat, rover.Warm} {
 			p := rover.BuildIteration(c, k)
 			for oi, opts := range diffOptions() {
-				assertBothPaths(t, fmt.Sprintf("rover %v/%v opts %d", c, k, oi), p, opts)
+				assertAudited(t, fmt.Sprintf("rover %v/%v opts %d", c, k, oi), p, opts)
 			}
 		}
 	}

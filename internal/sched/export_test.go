@@ -37,3 +37,16 @@ func MinPowerMaterializations(p *model.Problem, opts Options) (*Result, int, err
 	}
 	return st.result(sigma), n, nil
 }
+
+// Audit runs fn with the incremental-core audit installed: every answer
+// a stage takes from the tracker, the slack cache, the edge-scan
+// validity check or the live longest-path banks is checked against its
+// from-scratch reference. It returns how many answers of each kind were
+// checked and the first wrong one, or nil. Audits must not nest.
+func Audit(fn func()) (map[string]int, error) {
+	a := &auditor{checks: map[string]int{}, refs: map[*state]*refProfile{}}
+	audit = a.check
+	defer func() { audit = nil }()
+	fn()
+	return a.checks, a.err
+}

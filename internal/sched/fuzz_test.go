@@ -86,22 +86,21 @@ func FuzzPipeline(f *testing.F) {
 		if rep := verify.CheckAssigned(p, r.Schedule, r.Assignment); !rep.OK() {
 			t.Fatalf("pipeline emitted an invalid schedule for:\n%s\n%v", input, rep.Err())
 		}
-		// The incremental core (profile tracker + slack cache) is an
-		// engineering optimization: the naive path must emit the exact
-		// same schedule.
-		naiveOpts := opts
-		naiveOpts.Naive = true
-		nr, err := Run(p.Clone(), naiveOpts)
+		// The incremental core (profile tracker, slack cache, live
+		// longest-path banks) is an engineering optimization: every
+		// answer it gives must match the from-scratch reference, and the
+		// audited run must emit the exact same schedule.
+		var ar *Result
+		_, auditErr := Audit(func() { ar, err = Run(p.Clone(), opts) })
+		if auditErr != nil {
+			t.Fatalf("audit failed for:\n%s\n%v", input, auditErr)
+		}
 		if err != nil {
-			t.Fatalf("naive path failed where incremental succeeded for:\n%s\n%v", input, err)
+			t.Fatalf("audited run failed where the plain run succeeded for:\n%s\n%v", input, err)
 		}
-		if !r.Schedule.Equal(nr.Schedule) {
-			t.Fatalf("incremental and naive schedules diverge for:\n%s\nincremental %v\nnaive %v",
-				input, r.Schedule.Start, nr.Schedule.Start)
-		}
-		if !reflect.DeepEqual(r.Assignment, nr.Assignment) {
-			t.Fatalf("incremental and naive assignments diverge for:\n%s\nincremental %v\nnaive %v",
-				input, r.Assignment, nr.Assignment)
+		if !r.Schedule.Equal(ar.Schedule) || !reflect.DeepEqual(r.Assignment, ar.Assignment) {
+			t.Fatalf("audited run diverged for:\n%s\nplain   %v %v\naudited %v %v",
+				input, r.Schedule.Start, r.Assignment, ar.Schedule.Start, ar.Assignment)
 		}
 	})
 }

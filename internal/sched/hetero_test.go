@@ -75,13 +75,11 @@ func genHeteroProblem(seed int64) *model.Problem {
 }
 
 // heteroOptions is the option matrix the heterogeneous differential
-// suite runs under: the plain pipeline, the naive (non-incremental)
-// ablation, compaction, and a restart portfolio at one, two, and eight
-// workers.
+// suite runs under: the plain pipeline, compaction, and a restart
+// portfolio at one, two, and eight workers.
 func heteroOptions() []Options {
 	return []Options{
 		{Seed: 3},
-		{Seed: 3, Naive: true},
 		{Seed: 3, Compact: true},
 		{Seed: 9, Restarts: 8, Workers: 1},
 		{Seed: 9, Restarts: 8, Workers: 2},
@@ -247,7 +245,9 @@ func TestDegenerateEmbedding(t *testing.T) {
 //     instances (it is a greedy EFT search, not an optimizer, but a
 //     collapse below the floor means the choice branching broke);
 //   - all Workers values must agree byte-for-byte (the portfolio
-//     reduction is a total order, machines or not).
+//     reduction is a total order, machines or not);
+//   - every answer taken from the incremental core must pass the audit,
+//     concurrent portfolio workers included.
 func TestHeteroDifferentialVsExact(t *testing.T) {
 	const seeds = 40
 	solved, optimal := 0, 0
@@ -255,7 +255,12 @@ func TestHeteroDifferentialVsExact(t *testing.T) {
 		p := genHeteroProblem(seed)
 		var workerRef *Result
 		for oi, opts := range heteroOptions() {
-			r, err := Run(p.Clone(), opts)
+			var r *Result
+			var err error
+			_, auditErr := Audit(func() { r, err = Run(p.Clone(), opts) })
+			if auditErr != nil {
+				t.Fatalf("seed %d opts %d: %v", seed, oi, auditErr)
+			}
 			if err != nil {
 				continue
 			}
@@ -308,14 +313,14 @@ func TestHeteroDifferentialVsExact(t *testing.T) {
 	}
 }
 
-// TestHeteroBothPaths runs the incremental-vs-naive differential over
-// the heterogeneous corpus: the incremental core must be bit-exact in
-// the presence of assignment moves and effective task views too.
+// TestHeteroBothPaths audits the incremental core over the
+// heterogeneous corpus: it must be bit-exact in the presence of
+// assignment moves and effective task views too.
 func TestHeteroBothPaths(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		p := genHeteroProblem(seed)
 		for oi, opts := range diffOptions() {
-			assertBothPaths(t, fmt.Sprintf("hetero seed %d opts %d", seed, oi), p, opts)
+			assertAudited(t, fmt.Sprintf("hetero seed %d opts %d", seed, oi), p, opts)
 		}
 	}
 }

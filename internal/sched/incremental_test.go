@@ -6,21 +6,15 @@ import (
 )
 
 // TestQuickIncrementalEqualsFullRecompute: the incremental longest-path
-// update inside delay() is an engineering optimization only — with the
-// same seed, the pipeline produces the identical schedule either way.
+// updates are an engineering optimization only — with the audit on,
+// every delay, undo, timing visit step and backtrack leaves the live
+// solution equal to a full recompute of the working graph.
 func TestQuickIncrementalEqualsFullRecompute(t *testing.T) {
 	f := func(seed int64) bool {
-		p := genProblem(seed)
-		inc, err := MinPower(p.Clone(), Options{Seed: 3})
-		if err != nil {
-			return false
-		}
-		full, err := MinPower(p.Clone(), Options{Seed: 3, FullRecompute: true})
-		if err != nil {
-			return false
-		}
-		if !inc.Schedule.Equal(full.Schedule) {
-			t.Logf("seed %d: incremental %v != full %v", seed, inc.Schedule.Start, full.Schedule.Start)
+		var err error
+		_, auditErr := Audit(func() { _, err = MinPower(genProblem(seed), Options{Seed: 3}) })
+		if err != nil || auditErr != nil {
+			t.Logf("seed %d: run %v, audit %v", seed, err, auditErr)
 			return false
 		}
 		return true

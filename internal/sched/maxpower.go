@@ -44,7 +44,7 @@ func (st *state) maxPower() (schedule.Schedule, error) {
 		if round > st.opts.MaxSpikeRounds {
 			return schedule.Schedule{}, fmt.Errorf("sched: spike elimination exceeded %d rounds", st.opts.MaxSpikeRounds)
 		}
-		t, spiked := st.firstSpike(sigma, pmax)
+		t, spiked := st.firstSpike(pmax)
 		if !spiked {
 			return sigma, nil
 		}
@@ -55,22 +55,12 @@ func (st *state) maxPower() (schedule.Schedule, error) {
 	}
 }
 
-// firstSpike returns the start of the earliest over-budget interval.
-// Equivalent to Spikes(pmax)[0].T0 without materializing the interval
-// list: profile segments are contiguous and time-ordered, so the first
-// over-budget segment starts the first spike. The incremental path
-// answers from the tracker's segment index in O(log m); the naive path
-// walks the rebuilt profile.
-func (st *state) firstSpike(sigma schedule.Schedule, pmax float64) (model.Time, bool) {
-	if st.opts.Naive {
-		for _, s := range st.prof(sigma).Segs {
-			if s.P > pmax {
-				return s.T0, true
-			}
-		}
-		return 0, false
-	}
-	return st.tr.FirstAbove(pmax)
+// firstSpike returns the start of the earliest over-budget interval
+// (Spikes(pmax)[0].T0), answered from the tracker's segment index in
+// O(log m) without materializing the interval list.
+func (st *state) firstSpike(pmax float64) (model.Time, bool) {
+	t, ok := st.tr.FirstAbove(pmax)
+	return t, audited(st, "firstabove", 0, t, ok)
 }
 
 // fixSpike removes the power spike at time t by delaying simultaneous
@@ -95,7 +85,7 @@ func (st *state) fixSpike(sigma schedule.Schedule, t model.Time) error {
 	// reusable epoch-stamped set.
 	st.skipEpoch++
 	skipped := st.skipGen
-	for iter := 0; st.prof(sigma).At(t) > pmax; iter++ {
+	for iter := 0; st.prof().At(t) > pmax; iter++ {
 		if err := st.pollCancel(); err != nil {
 			return err
 		}
@@ -121,7 +111,7 @@ func (st *state) fixSpike(sigma schedule.Schedule, t model.Time) error {
 		}
 		if v < 0 {
 			return fmt.Errorf("%w: cannot remove power spike at t=%d (%.4g W > Pmax %.4g W)",
-				ErrInfeasible, t, st.prof(sigma).At(t), pmax)
+				ErrInfeasible, t, st.prof().At(t), pmax)
 		}
 
 		// Delay distance heuristic: aim past the end of the profile
@@ -129,7 +119,7 @@ func (st *state) fixSpike(sigma schedule.Schedule, t model.Time) error {
 		// event boundaries), capped by d(v) (the paper's upper bound);
 		// when v has positive slack, also capped by the slack so the
 		// schedule stays time-valid without rescheduling.
-		need := st.spikeEnd(sigma, t) - sigma.Start[v]
+		need := audited(st, "runendabove", 0, t, st.tr.RunEndAbove(t, pmax)) - sigma.Start[v]
 		dd := tasks[v].Delay
 		if dd > need {
 			dd = need
@@ -170,39 +160,6 @@ func (st *state) fixSpike(sigma schedule.Schedule, t model.Time) error {
 		}
 	}
 	return nil
-}
-
-// spikeEnd returns the end of the maximal over-budget interval
-// containing t (falling back to t+1 when the profile no longer spikes
-// at t). The incremental path answers from the tracker's segment index
-// in O(log m); the naive path walks the contiguous segments directly,
-// merging adjacent over-budget runs exactly the way Spikes does,
-// without materializing the interval list.
-func (st *state) spikeEnd(sigma schedule.Schedule, t model.Time) model.Time {
-	pmax := st.c.Prob.Pmax
-	if !st.opts.Naive {
-		return st.tr.RunEndAbove(t, pmax)
-	}
-	var t0, t1 model.Time
-	have := false
-	for _, s := range st.prof(sigma).Segs {
-		if s.P <= pmax {
-			continue
-		}
-		if have && t1 == s.T0 {
-			t1 = s.T1
-			continue
-		}
-		if have && t0 <= t && t < t1 {
-			return t1
-		}
-		t0, t1 = s.T0, s.T1
-		have = true
-	}
-	if have && t0 <= t && t < t1 {
-		return t1
-	}
-	return t + 1
 }
 
 type slackedTask struct {

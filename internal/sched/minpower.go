@@ -2,7 +2,6 @@ package sched
 
 import (
 	"repro/internal/model"
-	"repro/internal/power"
 	"repro/internal/schedule"
 )
 
@@ -35,7 +34,7 @@ func (st *state) minPower(sigma schedule.Schedule) (schedule.Schedule, error) {
 	// re-derived since the last stage: re-sync the incremental core.
 	st.syncProfile(sigma)
 	st.dirtySlackAll()
-	entryU := st.prof(sigma).Utilization(pmin)
+	entryU := st.prof().Utilization(pmin)
 	bestU := entryU
 	st.bestBuf = append(st.bestBuf[:0], sigma.Start...)
 	if bestU >= 1 {
@@ -99,7 +98,7 @@ func (st *state) scanOnce(sigma schedule.Schedule, order ScanOrder, slot SlotCho
 	// different depths, and the profitable insertion point is a segment
 	// boundary, not necessarily the gap's left edge.
 	times := st.gapTimes[:0]
-	for _, seg := range st.prof(sigma).Segs {
+	for _, seg := range st.prof().Segs {
 		if seg.P < pmin {
 			times = append(times, seg.T0)
 		}
@@ -123,7 +122,7 @@ func (st *state) scanOnce(sigma schedule.Schedule, order ScanOrder, slot SlotCho
 			return false
 		}
 		// Earlier moves may have already filled (or shifted) this gap.
-		if st.prof(sigma).At(t) >= pmin {
+		if st.prof().At(t) >= pmin {
 			continue
 		}
 		if st.fillGapAt(sigma, t, slot) {
@@ -148,22 +147,14 @@ func (st *state) scanOnce(sigma schedule.Schedule, order ScanOrder, slot SlotCho
 func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoice) bool {
 	prob := st.c.Prob
 	curU := st.curU
-	prof := st.prof(sigma)
 	// The profile covers [0, Finish), so its extent is the finish time.
-	tau := prof.Duration()
+	tau := st.prof().Duration()
 
 	// End of the gap beginning at t, read only by the finish-at-gap-end
-	// slot. The incremental path answers from the tracker's segment index
-	// in O(log m); the naive path walks the contiguous segments, merging
-	// adjacent below-Pmin runs exactly like Gaps, without materializing
-	// the interval list.
+	// slot and answered from the tracker's segment index in O(log m).
 	gapEnd := t + 1
 	if slot == SlotFinishAtGapEnd {
-		if !st.opts.Naive {
-			gapEnd = st.tr.RunEndBelow(t, prob.Pmin)
-		} else {
-			gapEnd = naiveGapEnd(prof, t, prob.Pmin)
-		}
+		gapEnd = audited(st, "runendbelow", 0, t, st.tr.RunEndBelow(t, prob.Pmin))
 	}
 
 	for _, v := range st.gapCandidates(sigma, t) {
@@ -204,11 +195,11 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		changed, ok := st.delay(v, newStart)
 		// The tracker settles most rejections from the moved tasks'
 		// intervals alone; the rest, and every acceptance, take the
-		// full materialized check. The naive path always does.
-		if ok && (st.opts.Naive || !st.tr.CertainlyRejects(prob.Pmax, prob.Pmin, tau, curU+utilEps)) {
-			np := st.prof(sigma)
-			if st.powerValid(np, prob.Pmax) && np.Duration() <= tau {
-				if u := np.Utilization(prob.Pmin); u > curU+utilEps && st.timeValid(sigma) {
+		// full materialized check.
+		if ok && !audited(st, "rejects", v, tau, st.tr.CertainlyRejects(prob.Pmax, prob.Pmin, tau, curU+utilEps)) {
+			np := st.prof()
+			if audited(st, "validmax", 0, 0, st.tr.ValidMax(prob.Pmax)) && np.Duration() <= tau {
+				if u := np.Utilization(prob.Pmin); u > curU+utilEps && audited(st, "timevalid", 0, 0, st.timeValid()) {
 					st.st.Moves++
 					st.curU = u
 					return true
@@ -220,31 +211,6 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		st.st.Rejected++
 	}
 	return false
-}
-
-// naiveGapEnd returns the end of the maximal below-pmin run of prof
-// containing t, or t+1 when t lies in no such run.
-func naiveGapEnd(prof power.Profile, t model.Time, pmin float64) model.Time {
-	var g0, g1 model.Time
-	have := false
-	for _, s := range prof.Segs {
-		if s.P >= pmin {
-			continue
-		}
-		if have && g1 == s.T0 {
-			g1 = s.T1
-			continue
-		}
-		if have && g0 <= t && t < g1 {
-			break
-		}
-		g0, g1 = s.T0, s.T1
-		have = true
-	}
-	if have && g0 <= t && t < g1 {
-		return g1
-	}
-	return t + 1
 }
 
 // gapCand is a gap-fill candidate with its selection keys.

@@ -78,10 +78,9 @@ func TestInfeasiblePropagatesThroughPipeline(t *testing.T) {
 	}
 }
 
-func TestBacktrackBudgetError(t *testing.T) {
-	// Many same-resource tasks with deadlines in reverse index order
-	// force heavy backtracking; a budget of 1 must fail with the budget
-	// error, not infeasibility.
+// backtrackProblem has many same-resource tasks with deadlines in
+// reverse index order, forcing the timing search to backtrack heavily.
+func backtrackProblem() *model.Problem {
 	p := &model.Problem{Name: "bt"}
 	const n = 7
 	for i := 0; i < n; i++ {
@@ -98,6 +97,12 @@ func TestBacktrackBudgetError(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.Deadline(p.Tasks[i].Name, model.Time(2*(n-1-i)))
 	}
+	return p
+}
+
+func TestBacktrackBudgetError(t *testing.T) {
+	// A budget of 1 must fail with the budget error, not infeasibility.
+	p := backtrackProblem()
 	if _, err := Timing(p, Options{}); err != nil {
 		t.Fatalf("default budget should solve it: %v", err)
 	}

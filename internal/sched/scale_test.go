@@ -9,13 +9,15 @@ import (
 	"repro/internal/sched"
 )
 
-// TestDifferentialBenchkit200 compares the incremental core against the
-// Naive oracle on benchkit ladder instances, where the min-power stage
-// probes thousands of gap fills and the tracker's certified rejection
-// settles almost all of them. The small generated corpus of the
-// in-package differential suite rarely reaches that regime. Every scan
-// order and slot choice runs (the default heuristic combinations), and
-// schedules, profiles, metrics and work counters must agree exactly.
+// TestDifferentialBenchkit200 audits the incremental core on benchkit
+// ladder instances, where the min-power stage probes thousands of gap
+// fills and the tracker's certified rejection settles almost all of
+// them. The small generated corpus of the in-package differential suite
+// rarely reaches that regime. Every scan order and slot choice runs
+// (the default heuristic combinations); every answer taken from the
+// incremental core must match its from-scratch reference, and the
+// audited run's schedule, profile, metrics and work counters must equal
+// an unaudited run's.
 func TestDifferentialBenchkit200(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale differential skipped in -short mode")
@@ -25,31 +27,34 @@ func TestDifferentialBenchkit200(t *testing.T) {
 		p := benchkit.Generate(n, seed)
 		opts := benchkit.Options(n)
 		opts.ScanOrders, opts.SlotChoices, opts.MaxScans = nil, nil, 0
-		naiveOpts := opts
-		naiveOpts.Naive = true
-		inc, err := sched.MinPower(p, opts)
-		if err != nil {
-			t.Fatalf("seed %d: incremental: %v", seed, err)
-		}
-		naive, err := sched.MinPower(p, naiveOpts)
-		if err != nil {
-			t.Fatalf("seed %d: naive: %v", seed, err)
-		}
 		label := fmt.Sprintf("benchkit %d seed %d", n, seed)
-		if !inc.Schedule.Equal(naive.Schedule) {
-			t.Fatalf("%s: schedules diverge\n incremental %v\n naive       %v", label, inc.Schedule.Start, naive.Schedule.Start)
+		var aud *sched.Result
+		var err error
+		checks, auditErr := sched.Audit(func() { aud, err = sched.MinPower(p, opts) })
+		if err != nil {
+			t.Fatalf("%s: audited run: %v", label, err)
 		}
-		if !reflect.DeepEqual(inc.Profile.Segs, naive.Profile.Segs) {
+		if auditErr != nil {
+			t.Fatalf("%s: %v", label, auditErr)
+		}
+		plain, err := sched.MinPower(p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !aud.Schedule.Equal(plain.Schedule) {
+			t.Fatalf("%s: schedules diverge\n audited %v\n plain   %v", label, aud.Schedule.Start, plain.Schedule.Start)
+		}
+		if !reflect.DeepEqual(aud.Profile.Segs, plain.Profile.Segs) {
 			t.Fatalf("%s: profiles diverge", label)
 		}
-		if inc.EnergyCost() != naive.EnergyCost() || inc.Utilization() != naive.Utilization() {
+		if aud.EnergyCost() != plain.EnergyCost() || aud.Utilization() != plain.Utilization() {
 			t.Fatalf("%s: metrics diverge: cost %v vs %v, util %v vs %v",
-				label, inc.EnergyCost(), naive.EnergyCost(), inc.Utilization(), naive.Utilization())
+				label, aud.EnergyCost(), plain.EnergyCost(), aud.Utilization(), plain.Utilization())
 		}
-		if inc.Stats != naive.Stats {
-			t.Fatalf("%s: stats diverge: %+v vs %+v", label, inc.Stats, naive.Stats)
+		if aud.Stats != plain.Stats {
+			t.Fatalf("%s: stats diverge: %+v vs %+v", label, aud.Stats, plain.Stats)
 		}
-		if inc.Stats.Rejected == 0 {
+		if plain.Stats.Rejected == 0 || checks["rejects"] == 0 {
 			t.Fatalf("%s: no gap-fill probe was rejected; the instance does not exercise the filter", label)
 		}
 	}
@@ -74,5 +79,30 @@ func TestMinPowerMaterializationGuard(t *testing.T) {
 	}
 	if st.Rejected < 10*(st.Moves+st.Scans) {
 		t.Fatalf("instance too easy to guard anything: %+v", st)
+	}
+}
+
+// TestAuditDoesNotPerturbTracker: the audit never asks the tracker for a
+// profile, so an audited 500-task solve does exactly the work of an
+// unaudited one — same stats, same min-power materialization count.
+func TestAuditDoesNotPerturbTracker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("audited 500-task solve skipped in -short mode")
+	}
+	const n = 500
+	p, opts := benchkit.Generate(n, 1), benchkit.Options(n)
+	plain, plainMats, err := sched.MinPowerMaterializations(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aud *sched.Result
+	var audMats int
+	_, auditErr := sched.Audit(func() { aud, audMats, err = sched.MinPowerMaterializations(p, opts) })
+	if err != nil || auditErr != nil {
+		t.Fatalf("audited run: %v, audit: %v", err, auditErr)
+	}
+	if aud.Stats != plain.Stats || audMats != plainMats {
+		t.Fatalf("audit perturbed the run: stats %+v / %d materializations, unaudited %+v / %d",
+			aud.Stats, audMats, plain.Stats, plainMats)
 	}
 }

@@ -111,17 +111,6 @@ type Options struct {
 	// DisableLocks turns off the lock-the-remaining-tasks heuristic of
 	// the max-power scheduler (for ablation).
 	DisableLocks bool
-	// FullRecompute makes every delay re-run the full longest-path
-	// computation instead of relaxing incrementally from the new edge
-	// (for ablation; results are identical, only speed differs).
-	FullRecompute bool
-	// Naive disables the incremental scheduler core: the power profile
-	// is rebuilt from scratch at every probe instead of maintained as a
-	// mutable segment structure, and per-task slack is recomputed from
-	// the constraint graph instead of served from the dirty-set cache
-	// (for ablation and differential testing; results are identical,
-	// only speed differs).
-	Naive bool
 	// Restarts runs the whole pipeline this many times with perturbed
 	// timing-candidate orders and keeps the best outcome (shortest
 	// finish, then lowest energy cost). Different serialization orders
@@ -569,13 +558,13 @@ type state struct {
 	// validates leftward moves against exactly this journal prefix.
 	timingMark graph.Checkpoint
 
-	// Incremental core (inactive when opts.Naive). tr mirrors the
-	// current working schedule's power profile as a mutable segment
-	// structure; slackVal/slackOK cache per-task slack with dirty-set
-	// invalidation: a cached entry is trusted only while neither the
-	// task, the start time of any target of its outgoing edges, nor its
-	// outgoing edge set has changed (see applyMove, lock, and the
-	// dirtySlackAll calls at stage and combo boundaries).
+	// Incremental core. tr mirrors the current working schedule's power
+	// profile as a mutable segment structure; slackVal/slackOK cache
+	// per-task slack with dirty-set invalidation: a cached entry is
+	// trusted only while neither the task, the start time of any target
+	// of its outgoing edges, nor its outgoing edge set has changed (see
+	// applyMove, lock, and the dirtySlackAll calls at stage and combo
+	// boundaries).
 	tr       *power.Tracker
 	slackVal []model.Time
 	slackOK  []bool
@@ -616,7 +605,6 @@ type state struct {
 	dist      []int         // timing search's live longest-path solution
 	visited   []bool        // timing search visit marks
 	order     startSorter   // allocation-free sort.Interface for compaction
-	delayDist []int         // FullRecompute delay's previous-solution snapshot
 	feasBuf   []int         // lock feasibility probe output
 	active    []slackedTask // tasks active at a spike time
 	skipGen   []int         // epoch marks for fixSpike's skipped set
@@ -650,13 +638,10 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 	for i := range st.prio {
 		st.prio[i] = i
 	}
-	if !opts.Naive {
-		st.slackVal = make([]model.Time, n)
-		st.slackOK = make([]bool, n)
-	}
+	st.slackVal = make([]model.Time, n)
+	st.slackOK = make([]bool, n)
 	st.dist = make([]int, st.g.N())
 	st.cur = make([]int, st.g.N())
-	st.delayDist = make([]int, st.g.N())
 	st.feasBuf = make([]int, st.g.N())
 	st.visited = make([]bool, n)
 	st.skipGen = make([]int, n)
@@ -743,11 +728,11 @@ func (st *state) result(sigma schedule.Schedule) *Result {
 }
 
 // delay constrains task v to start no earlier than newStart by adding
-// an anchor edge, then updates the working schedule st.cur IN PLACE. By
-// default the update relaxes incrementally from the new edge (see
-// graph.AddEdgeRelaxUndo), so only the shifted cone of successors is
-// touched. ok is false — with the edge rolled back and cur restored —
-// when the delay creates a positive cycle.
+// an anchor edge, then updates the working schedule st.cur IN PLACE,
+// relaxing incrementally from the new edge (see graph.AddEdgeRelaxUndo)
+// so only the shifted cone of successors is touched. ok is false — with
+// the edge rolled back and cur restored — when the delay creates a
+// positive cycle.
 //
 // On success the incremental core is updated for exactly the shifted
 // tasks (power-profile deltas applied, affected slack cache entries
@@ -757,36 +742,18 @@ func (st *state) result(sigma schedule.Schedule) *Result {
 // state-owned buffer that the next delay call reuses.
 func (st *state) delay(v int, newStart model.Time) (changed []graph.DistSave, ok bool) {
 	cp := st.g.Mark()
-	if st.opts.FullRecompute {
-		st.g.AddEdge(st.c.Anchor, v, newStart)
-		old := st.delayDist
-		copy(old, st.cur)
-		if !st.g.LongestFromInto(st.cur, st.c.Anchor) {
-			st.g.Rollback(cp)
-			copy(st.cur, old)
-			return nil, false
-		}
-		undo := st.undo[:0]
-		for w := range st.cur {
-			if st.cur[w] != old[w] {
-				undo = append(undo, graph.DistSave{V: w, Old: old[w]})
-			}
-		}
-		st.undo = undo
-		st.applyMove(undo)
-		return undo, true
-	}
-	undo, relaxOK := st.g.AddEdgeRelaxUndo(st.cur, st.c.Anchor, v, newStart, st.undo[:0])
-	st.undo = undo
-	if !relaxOK {
+	changed, ok = st.g.AddEdgeRelaxUndo(st.cur, st.c.Anchor, v, newStart, st.undo[:0])
+	st.undo = changed
+	if ok {
+		st.applyMove(changed)
+	} else {
 		st.g.Rollback(cp)
-		for i := len(undo) - 1; i >= 0; i-- {
-			st.cur[undo[i].V] = undo[i].Old
+		for i := len(changed) - 1; i >= 0; i-- {
+			st.cur[changed[i].V] = changed[i].Old
 		}
-		return nil, false
+		changed = nil
 	}
-	st.applyMove(undo)
-	return undo, true
+	return changed, audited(st, "delay", v, newStart, ok)
 }
 
 // lock pins task v at start t with a pair of edges (sigma(v) >= t and
@@ -801,9 +768,6 @@ func (st *state) lock(v int, t model.Time) {
 // Stages call it at their boundaries, where the working schedule is
 // re-derived wholesale rather than by single-task moves.
 func (st *state) syncProfile(sigma schedule.Schedule) {
-	if st.opts.Naive {
-		return
-	}
 	if st.tr == nil {
 		st.tr = power.NewTracker(st.tasks, sigma, st.c.Prob.BasePower)
 	} else {
@@ -811,15 +775,12 @@ func (st *state) syncProfile(sigma schedule.Schedule) {
 	}
 }
 
-// prof returns the power profile of sigma. On the incremental path the
-// tracker must be synced to sigma (by construction of the stage loops);
-// the naive path rebuilds from scratch. The returned profile's segments
-// are owned by the tracker and must not be retained across moves.
-func (st *state) prof(sigma schedule.Schedule) power.Profile {
-	if st.opts.Naive {
-		return power.Build(st.tasks, sigma, st.c.Prob.BasePower)
-	}
-	return st.tr.Profile()
+// prof returns the power profile of the working schedule, which the
+// tracker follows move by move (by construction of the stage loops).
+// The returned profile's segments are owned by the tracker and must not
+// be retained across moves.
+func (st *state) prof() power.Profile {
+	return audited(st, "profile", 0, 0, st.tr.Profile())
 }
 
 // applyMove updates the incremental core after a delay overwrote the
@@ -830,9 +791,6 @@ func (st *state) prof(sigma schedule.Schedule) power.Profile {
 // reads the moved start in its slack). Anchor entries are skipped — the
 // anchor is not a task.
 func (st *state) applyMove(changed []graph.DistSave) {
-	if st.opts.Naive {
-		return
-	}
 	n := st.c.NumTasks()
 	for _, e := range changed {
 		if e.V < n {
@@ -849,23 +807,20 @@ func (st *state) applyMove(changed []graph.DistSave) {
 // between).
 func (st *state) undoDelay(changed []graph.DistSave) {
 	n := st.c.NumTasks()
-	naive := st.opts.Naive
 	for i := len(changed) - 1; i >= 0; i-- {
 		e := changed[i]
 		st.cur[e.V] = e.Old
-		if !naive && e.V < n {
+		if e.V < n {
 			st.tr.Move(e.V, e.Old)
 			st.dirtySlack(e.V)
 		}
 	}
+	audited(st, "undo", 0, 0, true)
 }
 
 // dirtySlack invalidates the cached slack of task w and of every task
 // with an outgoing constraint edge into w.
 func (st *state) dirtySlack(w int) {
-	if st.opts.Naive {
-		return
-	}
 	st.slackOK[w] = false
 	for _, e := range st.g.In(w) {
 		if e.From != st.c.Anchor {
@@ -905,32 +860,16 @@ func (st *state) pollCancel() error {
 	}
 }
 
-// powerValid reports whether the profile respects the max power
-// budget: Profile.Valid on the naive path, the tracker's O(1)
-// materialized peak on the incremental one (bit-identical — both
-// compare the same exact segment powers against pmax).
-func (st *state) powerValid(np power.Profile, pmax float64) bool {
-	if st.opts.Naive {
-		return np.Valid(pmax)
-	}
-	return st.tr.ValidMax(pmax)
-}
-
-// timeValid reports whether the working schedule is time-valid. The
-// incremental path checks every live constraint edge against cur, an
-// allocation-free equivalent of schedule.CheckTimeValidTasks: start
-// nonnegativity is implied by the anchor release edges (anchor -> v,
-// w >= 0, with cur[anchor] pinned at 0), and same-resource
-// serialization needs no pairwise sweep because the timing stage links
-// every same-resource pair with an explicit serialization edge
-// (visited -> c and c -> unvisited), so edge satisfaction implies
-// non-overlap (DESIGN.md section 13). The naive path runs the full
-// check, keeping it as the oracle the differential suite compares the
-// incremental decisions against.
-func (st *state) timeValid(sigma schedule.Schedule) bool {
-	if st.opts.Naive {
-		return schedule.CheckTimeValidTasks(st.g, st.c, st.tasks, sigma) == nil
-	}
+// timeValid reports whether the working schedule is time-valid by
+// checking every live constraint edge against cur, an allocation-free
+// equivalent of schedule.CheckTimeValidTasks: start nonnegativity is
+// implied by the anchor release edges (anchor -> v, w >= 0, with
+// cur[anchor] pinned at 0), and same-resource serialization needs no
+// pairwise sweep because the timing stage links every same-resource
+// pair with an explicit serialization edge (visited -> c and c ->
+// unvisited), so edge satisfaction implies non-overlap (DESIGN.md
+// section 13).
+func (st *state) timeValid() bool {
 	cur := st.cur
 	for _, e := range st.g.JournalPrefix(st.g.Mark()) {
 		if cur[e.To] < cur[e.From]+e.W {
@@ -940,15 +879,24 @@ func (st *state) timeValid(sigma schedule.Schedule) bool {
 	return true
 }
 
-// slackOf returns Slack(v) under sigma, served from the dirty-set cache
-// on the incremental path.
+// slackOf returns Slack(v) under sigma, served from the dirty-set cache.
 func (st *state) slackOf(sigma schedule.Schedule, v int) model.Time {
-	if st.opts.Naive {
-		return schedule.Slack(st.g, st.c, sigma, v)
-	}
 	if !st.slackOK[v] {
 		st.slackVal[v] = schedule.Slack(st.g, st.c, sigma, v)
 		st.slackOK[v] = true
 	}
-	return st.slackVal[v]
+	return audited(st, "slack", v, 0, st.slackVal[v])
+}
+
+// audit, when non-nil, receives every answer a stage takes from the
+// incremental core and checks it against its from-scratch reference.
+// Only tests install it (export_test.go); production leaves it nil.
+var audit func(st *state, q string, v int, t model.Time, got any)
+
+// audited hands got to the installed audit, if any, and returns it.
+func audited[T any](st *state, q string, v int, t model.Time, got T) T {
+	if audit != nil {
+		audit(st, q, v, t, got)
+	}
+	return got
 }

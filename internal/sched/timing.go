@@ -120,9 +120,7 @@ const (
 // distance vector is restored between sibling candidates, so the keys
 // are fixed for the whole loop and "smallest key strictly greater than
 // the last tried key" enumerates exactly the sorted order without
-// materializing or sorting a candidate list. Options.FullRecompute
-// falls back to whole-graph recomputation per step (for ablation; the
-// distances, and hence the search order and result, are identical).
+// materializing or sorting a candidate list.
 //
 // With prune set, a feasible choice is additionally skipped when its
 // finish lower bound — every task's current ASAP start plus a per-task
@@ -196,53 +194,32 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 				res := st.c.Res[c]
 				d := ch.Delay
 				feasible := true
-				var saved []int
-				if st.opts.FullRecompute {
-					// Serialize c after every traversed task sharing its
-					// machine, and every untraversed same-resource task
-					// after c, then recompute from scratch. Machine mates
-					// on c's own resource are skipped: the earlier task's
-					// resource edge into c already carries the same
-					// weight, which is why a problem whose machines
-					// mirror its resources schedules identically to one
-					// with no machines at all.
-					if ch.Machine >= 0 {
-						for u := 0; u < n; u++ {
-							if visited[u] && st.assign[u].Machine == ch.Machine && st.c.Res[u] != res {
-								st.g.AddEdge(u, c, st.tasks[u].Delay)
-							}
-						}
-					}
+				// Serialize c after every traversed task sharing its
+				// machine, and every untraversed same-resource task after
+				// c. Machine mates on c's own resource are skipped: the
+				// earlier task's resource edge into c already carries the
+				// same weight, which is why a problem whose machines
+				// mirror its resources schedules identically to one with
+				// no machines at all.
+				if ch.Machine >= 0 {
 					for u := 0; u < n; u++ {
-						if u != c && !visited[u] && st.c.Res[u] == res {
-							st.g.AddEdge(c, u, d)
-						}
-					}
-					if nd, ok := st.g.LongestFrom(st.c.Anchor); ok {
-						saved, dist = dist, nd
-					} else {
-						feasible = false
-					}
-				} else {
-					if ch.Machine >= 0 {
-						for u := 0; u < n; u++ {
-							if visited[u] && st.assign[u].Machine == ch.Machine && st.c.Res[u] != res {
-								if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, u, c, st.tasks[u].Delay, st.undo); !feasible {
-									break
-								}
-							}
-						}
-					}
-					if feasible {
-						for u := 0; u < n; u++ {
-							if u != c && !visited[u] && st.c.Res[u] == res {
-								if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, c, u, d, st.undo); !feasible {
-									break
-								}
+						if visited[u] && st.assign[u].Machine == ch.Machine && st.c.Res[u] != res {
+							if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, u, c, st.tasks[u].Delay, st.undo); !feasible {
+								break
 							}
 						}
 					}
 				}
+				if feasible {
+					for u := 0; u < n; u++ {
+						if u != c && !visited[u] && st.c.Res[u] == res {
+							if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, c, u, d, st.undo); !feasible {
+								break
+							}
+						}
+					}
+				}
+				feasible = audited(st, "visit", c, 0, feasible)
 				if feasible && prune {
 					if cur := st.inc.Load(); cur != nil && st.timingLB(dist, visited, c, d) > cur.finish {
 						feasible = false
@@ -262,16 +239,11 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 					visited[c] = false
 				}
 				st.g.Rollback(cp)
-				if st.opts.FullRecompute {
-					if saved != nil {
-						dist = saved
-					}
-				} else {
-					for i := len(st.undo) - 1; i >= um; i-- {
-						dist[st.undo[i].V] = st.undo[i].Old
-					}
-					st.undo = st.undo[:um]
+				for i := len(st.undo) - 1; i >= um; i-- {
+					dist[st.undo[i].V] = st.undo[i].Old
 				}
+				st.undo = st.undo[:um]
+				audited(st, "backtrack", c, 0, true)
 				st.st.Backtracks++
 				if st.st.Backtracks > budget {
 					return false

@@ -27,8 +27,6 @@ func optsDigest(o sched.Options) [8]byte {
 		putInt(h, int64(v))
 	}
 	putBool(h, o.DisableLocks)
-	putBool(h, o.FullRecompute)
-	putBool(h, o.Naive)
 	putInt(h, int64(o.Restarts))
 	putInt(h, int64(o.Workers))
 	putBool(h, o.Compact)
