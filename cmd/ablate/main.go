@@ -1,7 +1,7 @@
 // Command ablate compares the scheduler's heuristic configurations on
 // one problem: the default pipeline against single scan orders, single
-// slot heuristics, disabled locks, full longest-path recomputation, and
-// multi-restart search.
+// slot heuristics, disabled locks, multi-restart search, a one-scan
+// min-power budget, and compaction.
 //
 //	ablate testdata/example9.spec
 package main

@@ -9,8 +9,8 @@
 //	go run ./cmd/bench -sim -out BENCH_sim.json
 //
 // Each size measures the full pipeline on the incremental scheduler
-// core (power profile maintained as segment deltas, slack cached with
-// dirty-set invalidation).
+// core (power profile kept as a breakpoint reference plus a moved-task
+// overlay, slack cached with dirty-set invalidation).
 package main
 
 import (

@@ -44,28 +44,27 @@ func roundoff(steps, terms int, m, abs float64) float64 {
 // caller then runs the full test — so every accepted move and every
 // near-tie still goes through the exact float path.
 //
-// The finish time is read exactly from the last breakpoint. Power and
+// The finish time is read exactly, in O(k), from the moved tasks' ends
+// and the last reference breakpoint an unmoved task holds. Power and
 // utilization are estimated from the reference: inside the moved
 // intervals the new power is R + delta (R a reference segment power,
 // delta the summed moved-task changes); outside them it equals R up to
 // rounding. Rounding is bounded rigorously: a materialized power errs
 // from the exact sum of its active contributions by at most
 // roundoff(steps, terms, max|P|, sum|contrib|), the same for the new
-// schedule with its breakpoint count, terms grown by at most two per
-// moved task, and max|P| grown by the moved powers; delta's float
-// accumulation errs by at most gamma_{#events} * sum|events|; and
-// FreeEnergyUsed errs by at most gamma_{#segs} * max|min(P, pmin)| *
-// tau plus tau times the power error (min is 1-Lipschitz). A
-// rejection is reported only when the estimate clears its threshold by
-// at least twice the summed bound.
+// schedule with its breakpoint count bounded by the reference's plus
+// two per moved task (roundoff is monotone in it), terms grown by at
+// most two per moved task, and max|P| grown by the moved powers;
+// delta's float accumulation errs by at most gamma_{#events} *
+// sum|events|; and FreeEnergyUsed errs by at most gamma_{#segs} *
+// max|min(P, pmin)| * tau plus tau times the power error (min is
+// 1-Lipschitz). A rejection is reported only when the estimate clears
+// its threshold by at least twice the summed bound.
 func (tr *Tracker) CertainlyRejects(pmax, pmin float64, tau model.Time, minU float64) bool {
 	if !tr.refOK || len(tr.moved) == 0 {
 		return false
 	}
-	var newTau model.Time
-	if n := len(tr.buckets); n > 0 {
-		newTau = tr.buckets[n-1].t
-	}
+	newTau := tr.finish()
 	if newTau > tau {
 		return true
 	}
@@ -91,7 +90,9 @@ func (tr *Tracker) CertainlyRejects(pmax, pmin float64, tau model.Time, minU flo
 	mRef := max(math.Abs(tr.maxP), math.Abs(tr.minP))
 	eRef := roundoff(tr.refSteps, tr.refTerms, mRef, tr.absSum)
 	mNew := mRef + eRef + movedAbs
-	eNew := roundoff(len(tr.buckets)+1, tr.refTerms+2*len(tr.moved), mNew, tr.absSum)
+	// The new schedule has at most 2k breakpoints the reference lacks.
+	newSteps := len(tr.bk.t) + 2*len(tr.moved) + 1
+	eNew := roundoff(newSteps, tr.refTerms+2*len(tr.moved), mNew, tr.absSum)
 	eDelta := 2 * unit * float64(len(evs)) * 4 * movedAbs
 	ePeak := 2 * (eRef + eNew + eDelta)
 
@@ -139,7 +140,7 @@ func (tr *Tracker) CertainlyRejects(pmax, pmin float64, tau model.Time, minU flo
 	}
 	ft := float64(refTau)
 	mClip := max(pmin, mNew+eNew)
-	eFree := 2*unit*float64(len(segs)+len(tr.buckets)+2)*mClip*ft + (eRef+eNew)*ft
+	eFree := 2*unit*float64(len(segs)+newSteps+1)*mClip*ft + (eRef+eNew)*ft
 	eDFree := width*(2*eRef+eDelta+unit*qMax) + 2*unit*float64(pieces+2)*absFree
 	bound := minU * (pmin * ft)
 	slack := bound - (tr.refFree + dFree)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -78,41 +79,119 @@ func checkIndexQueries(t *testing.T, label string, tr *Tracker, want Profile) {
 	}
 }
 
-// TestTrackerMatchesBuild drives a tracker through random move
-// sequences and checks after every single move that its profile is
-// bit-identical (same segment boundaries, same float64 power values) to
-// a from-scratch Build of the same schedule, and that its segment-index
-// queries agree with walks over the Build profile.
-func TestTrackerMatchesBuild(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(12)
-		base := 0.0
-		if rng.Intn(2) == 0 {
-			base = rng.Float64() * 3.3
-		}
-		tasks, s := randomInstance(rng, n)
-		tr := NewTracker(tasks, s, base)
-		if got, want := tr.Profile(), Build(tasks, s, base); !profilesEqual(got, want) {
-			t.Fatalf("seed %d: initial profile mismatch\n got %v\nwant %v", seed, got, want)
-		}
-		for move := 0; move < 60; move++ {
-			v := rng.Intn(n)
-			s.Start[v] = model.Time(rng.Intn(50))
-			tr.Move(v, s.Start[v])
-			got, want := tr.Profile(), Build(tasks, s, base)
-			if !profilesEqual(got, want) {
-				t.Fatalf("seed %d move %d: profile mismatch after moving task %d to %d\n got %v\nwant %v",
-					seed, move, v, s.Start[v], got, want)
+// checkFresh requires tr's profile to be bit-identical to a Build of the
+// same schedule, and its reference — breakpoint arrays, cached sums and
+// the summary CertainlyRejects reads (refSteps, refTerms, maxP, minP) —
+// to equal that of a tracker freshly built on the schedule.
+func checkFresh(t *testing.T, label string, tr *Tracker, tasks []model.Task, s schedule.Schedule, base float64) {
+	t.Helper()
+	if got, want := tr.Profile(), Build(tasks, s, base); !profilesEqual(got, want) {
+		t.Fatalf("%s: profile mismatch\n got %v\nwant %v", label, got, want)
+	}
+	fresh := NewTracker(tasks, s, base)
+	fresh.Profile()
+	if tr.refSteps != fresh.refSteps || tr.refTerms != fresh.refTerms || tr.maxP != fresh.maxP || tr.minP != fresh.minP {
+		t.Fatalf("%s: reference summary (steps %d terms %d max %v min %v), fresh (%d %d %v %v)", label,
+			tr.refSteps, tr.refTerms, tr.maxP, tr.minP, fresh.refSteps, fresh.refTerms, fresh.maxP, fresh.minP)
+	}
+	a, b := tr.bk, fresh.bk
+	if !slices.Equal(a.t, b.t) || !slices.Equal(a.off, b.off) || !slices.Equal(a.c, b.c) || !slices.Equal(a.sum, b.sum) {
+		t.Fatalf("%s: reference buckets differ from a fresh build\n got %v %v %v\nwant %v %v %v",
+			label, a.t, a.off, a.sum, b.t, b.off, b.sum)
+	}
+}
+
+// trackerMove picks a start for task v aimed at the overlay's corner
+// cases: onto time 0, onto another task's start or end (an existing
+// breakpoint, usually between other tasks in (task, kind) order), past
+// the finish time (growing it), the latest-ending task moved to the
+// front (emptying the finish bucket and shrinking the finish time), or
+// anywhere.
+func trackerMove(rng *rand.Rand, tasks []model.Task, s schedule.Schedule) (int, model.Time) {
+	n := len(tasks)
+	v := rng.Intn(n)
+	tau := s.Finish(tasks)
+	switch rng.Intn(6) {
+	case 0:
+		return v, 0
+	case 1:
+		return v, s.Start[rng.Intn(n)]
+	case 2:
+		w := rng.Intn(n)
+		return v, max(0, s.Start[w]+tasks[w].Delay-rng.Intn(2)*tasks[v].Delay)
+	case 3:
+		return v, tau + model.Time(rng.Intn(3))
+	case 4:
+		for w := range tasks {
+			if s.Start[w]+tasks[w].Delay == tau {
+				return w, model.Time(rng.Intn(2))
 			}
-			checkIndexQueries(t, fmt.Sprintf("seed %d move %d", seed, move), tr, want)
 		}
-		// Reset back onto a fresh schedule and re-check.
-		_, s2 := randomInstance(rng, n)
-		tr.Reset(s2)
-		if got, want := tr.Profile(), Build(tasks, s2, base); !profilesEqual(got, want) {
-			t.Fatalf("seed %d: post-Reset profile mismatch\n got %v\nwant %v", seed, got, want)
+	}
+	return v, model.Time(rng.Intn(int(tau) + 2))
+}
+
+// TestTrackerMatchesBuild drives trackers through random interleavings
+// of moves, partial undos (a subset of the moved tasks sent back to the
+// reference), Profile calls and Resets — some onto rewritten delays and
+// powers, as a heterogeneous scheduler makes between restarts — on
+// random and adversarial instances. Every Profile must be bit-identical
+// to a from-scratch Build, the reference must equal a fresh tracker's,
+// and the segment-index queries must agree with walks over the Build
+// profile.
+func TestTrackerMatchesBuild(t *testing.T) {
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(16)
+		var tasks []model.Task
+		var s schedule.Schedule
+		var base float64
+		if seed%2 == 0 {
+			tasks, s = randomInstance(rng, n)
+			if rng.Intn(2) == 0 {
+				base = rng.Float64() * 3.3
+			}
+		} else {
+			tasks, s, base = adversarialInstance(rng, n)
 		}
+		tr := NewTracker(tasks, s, base)
+		checkFresh(t, fmt.Sprintf("seed %d initial", seed), tr, tasks, s, base)
+		for step := 0; step < 120; step++ {
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(10); {
+			case op < 5:
+				v, at := trackerMove(rng, tasks, s)
+				s.Start[v] = at
+				tr.Move(v, at)
+			case op < 7:
+				for _, v := range append([]int(nil), tr.moved...) {
+					if rng.Intn(2) == 0 {
+						s.Start[v] = tr.ref[v]
+						tr.Move(v, s.Start[v])
+					}
+				}
+			case op < 9:
+				checkFresh(t, label, tr, tasks, s, base)
+				if step%4 == 0 {
+					checkIndexQueries(t, label, tr, Build(tasks, s, base))
+				}
+			default:
+				for k := rng.Intn(3); k > 0; k-- {
+					v := rng.Intn(n)
+					tasks[v].Delay = 1 + rng.Intn(5)
+					if rng.Intn(2) == 0 {
+						tasks[v].Power = rng.Float64() * 5.1
+					}
+				}
+				for k := rng.Intn(4); k > 0; k-- {
+					v, at := trackerMove(rng, tasks, s)
+					s.Start[v] = at
+				}
+				tr.Reset(s)
+				checkFresh(t, label+" reset", tr, tasks, s, base)
+			}
+		}
+		checkFresh(t, fmt.Sprintf("seed %d final", seed), tr, tasks, s, base)
 	}
 }
 
@@ -354,5 +433,31 @@ func TestCertainlyRejectsAllocFree(t *testing.T) {
 	probe()
 	if avg := testing.AllocsPerRun(10, probe); avg != 0 {
 		t.Fatalf("warm probe cycle allocates %.1f times", avg)
+	}
+}
+
+// TestTrackerProbeAllocFree pins the overlay's allocation behaviour:
+// once the tracker's buffers are warm, a move, its undo and a Profile
+// allocate nothing, and neither does a move that is materialized (its
+// fold into the reference) and then undone and materialized again.
+func TestTrackerProbeAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tasks, s := randomInstance(rng, 300)
+	tr := NewTracker(tasks, s, 0.5)
+	tr.Profile()
+	cycle := func() {
+		for v := 0; v < 30; v++ {
+			tr.Move(v, s.Start[v]+3)
+			tr.Move(v, s.Start[v])
+			tr.Profile()
+			tr.Move(v, s.Start[v]+3)
+			tr.Profile()
+			tr.Move(v, s.Start[v])
+			tr.Profile()
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Fatalf("warm move/undo/profile cycle allocates %.1f times", avg)
 	}
 }

@@ -91,7 +91,7 @@ func checkAnswer(st *state, memo *refProfile, q string, v int, t model.Time, got
 		return nil
 	case "timevalid":
 		if want := schedule.CheckTimeValidTasks(st.g, st.c, st.tasks, sigma) == nil; got.(bool) != want {
-			return fmt.Errorf("edge scan says %v, CheckTimeValidTasks says %v", got, want)
+			return fmt.Errorf("stage claims time-valid %v, CheckTimeValidTasks says %v", got, want)
 		}
 		return nil
 	case "delay", "undo":
@@ -311,7 +311,8 @@ func TestAuditCatches(t *testing.T) {
 			audited(st, "runendbelow", 0, 0, model.Time(0))
 		}},
 		{"wrong timevalid", "CheckTimeValidTasks", func(st *state, sigma schedule.Schedule) {
-			audited(st, "timevalid", 0, 0, !st.timeValid())
+			st.cur[0] = -1 // starts before time 0
+			audited(st, "timevalid", 0, 0, true)
 		}},
 		{"unsound rejection", "certified rejection", func(st *state, sigma schedule.Schedule) {
 			st.curU = -1 // any valid profile with the same finish is an acceptance

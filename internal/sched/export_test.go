@@ -39,10 +39,11 @@ func MinPowerMaterializations(p *model.Problem, opts Options) (*Result, int, err
 }
 
 // Audit runs fn with the incremental-core audit installed: every answer
-// a stage takes from the tracker, the slack cache, the edge-scan
-// validity check or the live longest-path banks is checked against its
-// from-scratch reference. It returns how many answers of each kind were
-// checked and the first wrong one, or nil. Audits must not nest.
+// a stage takes from the tracker, the slack cache or the live
+// longest-path banks, and every time-validity claim of an accepted gap
+// fill, is checked against its from-scratch reference. It returns how
+// many answers of each kind were checked and the first wrong one, or
+// nil. Audits must not nest.
 func Audit(fn func()) (map[string]int, error) {
 	a := &auditor{checks: map[string]int{}, refs: map[*state]*refProfile{}}
 	audit = a.check

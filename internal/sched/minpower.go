@@ -139,11 +139,11 @@ func (st *state) scanOnce(sigma schedule.Schedule, order ScanOrder, slot SlotCho
 // active at t, mutating the working schedule in place on acceptance.
 // Candidates must have enough slack to reach t (the paper's condition
 // Delta(v) >= t - sigma(v) - d(v), strict activity). A move is accepted
-// when the delayed schedule is time-valid (by construction of the slack
-// bound and the incremental longest-path update, re-checked against the
-// live constraint edges), power-valid, finishes no later, and strictly
-// improves utilization; a rejected move is rolled back exactly via the
-// delay's undo journal.
+// when the delayed schedule is power-valid, finishes no later, and
+// strictly improves utilization; it is time-valid by construction (the
+// incremental longest-path update either fails on a positive cycle or
+// leaves cur satisfying every live constraint edge). A rejected move is
+// rolled back exactly via the delay's undo journal.
 func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoice) bool {
 	prob := st.c.Prob
 	curU := st.curU
@@ -199,7 +199,11 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		if ok && !audited(st, "rejects", v, tau, st.tr.CertainlyRejects(prob.Pmax, prob.Pmin, tau, curU+utilEps)) {
 			np := st.prof()
 			if audited(st, "validmax", 0, 0, st.tr.ValidMax(prob.Pmax)) && np.Duration() <= tau {
-				if u := np.Utilization(prob.Pmin); u > curU+utilEps && audited(st, "timevalid", 0, 0, st.timeValid()) {
+				if u := np.Utilization(prob.Pmin); u > curU+utilEps {
+					// The successful delay left cur a longest-path solution
+					// of the live graph, which satisfies every live edge:
+					// the schedule is time-valid by construction.
+					audited(st, "timevalid", 0, 0, true)
 					st.st.Moves++
 					st.curU = u
 					return true
@@ -227,17 +231,15 @@ type gapCand struct {
 // across calls.
 func (st *state) gapCandidates(sigma schedule.Schedule, t model.Time) []int {
 	cs := st.gapCands[:0]
-	tasks := st.tasks
-	for v := range tasks {
-		fin := sigma.Start[v] + tasks[v].Delay
+	for v, d := range st.delays {
+		fin := sigma.Start[v] + d
 		if fin > t {
 			continue // still running at or after t; delaying cannot help
 		}
-		sl := st.slackOf(sigma, v)
-		if sl < t-sigma.Start[v]-tasks[v].Delay+1 {
+		if st.slackOf(sigma, v) < t-fin+1 {
 			continue // cannot reach t
 		}
-		cs = append(cs, gapCand{v: v, power: tasks[v].Power, finish: fin})
+		cs = append(cs, gapCand{v: v, power: st.tasks[v].Power, finish: fin})
 	}
 	st.gapCands = cs
 	// Selection order: descending power, then latest finish, then index.

@@ -579,6 +579,10 @@ type state struct {
 	// positive cycle with the raising chain, which the relaxation
 	// reports as failure — so a successful delay never moves the anchor.
 	cur []int
+	// delays mirrors the task view's Delay per task, refreshed by
+	// syncProfile, so the gap-candidate scan reads a dense bank instead
+	// of striding over ~88-byte model.Task values.
+	delays []model.Time
 	// undo journals dist overwrites for the in-place mutations of cur:
 	// the timing search truncates it to per-choice marks, delay reuses
 	// it per call. Replaying it backwards restores cur exactly.
@@ -640,6 +644,7 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 	}
 	st.slackVal = make([]model.Time, n)
 	st.slackOK = make([]bool, n)
+	st.delays = make([]model.Time, n)
 	st.dist = make([]int, st.g.N())
 	st.cur = make([]int, st.g.N())
 	st.feasBuf = make([]int, st.g.N())
@@ -766,12 +771,17 @@ func (st *state) lock(v int, t model.Time) {
 
 // syncProfile (re)builds the incremental profile tracker onto sigma.
 // Stages call it at their boundaries, where the working schedule is
-// re-derived wholesale rather than by single-task moves.
+// re-derived wholesale rather than by single-task moves. The delay bank
+// is refreshed with the tracker's: a heterogeneous run rewrites the
+// task view's effective delays between restarts.
 func (st *state) syncProfile(sigma schedule.Schedule) {
 	if st.tr == nil {
 		st.tr = power.NewTracker(st.tasks, sigma, st.c.Prob.BasePower)
 	} else {
 		st.tr.Reset(sigma)
+	}
+	for v := range st.delays {
+		st.delays[v] = st.tasks[v].Delay
 	}
 }
 
@@ -858,25 +868,6 @@ func (st *state) pollCancel() error {
 	default:
 		return nil
 	}
-}
-
-// timeValid reports whether the working schedule is time-valid by
-// checking every live constraint edge against cur, an allocation-free
-// equivalent of schedule.CheckTimeValidTasks: start nonnegativity is
-// implied by the anchor release edges (anchor -> v, w >= 0, with
-// cur[anchor] pinned at 0), and same-resource serialization needs no
-// pairwise sweep because the timing stage links every same-resource
-// pair with an explicit serialization edge (visited -> c and c ->
-// unvisited), so edge satisfaction implies non-overlap (DESIGN.md
-// section 13).
-func (st *state) timeValid() bool {
-	cur := st.cur
-	for _, e := range st.g.JournalPrefix(st.g.Mark()) {
-		if cur[e.To] < cur[e.From]+e.W {
-			return false
-		}
-	}
-	return true
 }
 
 // slackOf returns Slack(v) under sigma, served from the dirty-set cache.

@@ -60,7 +60,54 @@ func Parse(r io.Reader) (*model.Problem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	compact(p)
 	return p, nil
+}
+
+// compact trims a parsed problem to what it holds: Tasks, Constraints
+// and Machines get exact capacity, dropping the append slack of
+// parsing, and every name is interned — one copy per distinct string,
+// shared by the task, its constraint endpoints, resources and pins — so
+// the problem keeps no scanner line alive through a substring. A
+// service holding many uploaded specs pays only for their contents.
+func compact(p *model.Problem) {
+	names := make(map[string]string, len(p.Tasks))
+	intern := func(s string) string {
+		if s == model.Anchor {
+			return model.Anchor
+		}
+		c, ok := names[s]
+		if !ok {
+			c = strings.Clone(s)
+			names[c] = c
+		}
+		return c
+	}
+	p.Name = intern(p.Name)
+	p.Tasks = exact(p.Tasks)
+	for i := range p.Tasks {
+		t := &p.Tasks[i]
+		t.Name, t.Resource, t.Machine = intern(t.Name), intern(t.Resource), intern(t.Machine)
+	}
+	p.Constraints = exact(p.Constraints)
+	for i := range p.Constraints {
+		c := &p.Constraints[i]
+		c.From, c.To = intern(c.From), intern(c.To)
+	}
+	p.Machines = exact(p.Machines)
+	for i := range p.Machines {
+		p.Machines[i].Name = intern(p.Machines[i].Name)
+	}
+}
+
+// exact returns a copy of s whose capacity equals its length.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // ParseFile parses the specification in the named file.

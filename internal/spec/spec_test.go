@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/model"
 )
@@ -58,6 +59,49 @@ func TestParseSample(t *testing.T) {
 	dl := p.Constraints[3]
 	if dl.From != model.Anchor || !dl.HasMax || dl.Max != 30 {
 		t.Fatalf("deadline = %+v", dl)
+	}
+}
+
+// TestParseCompacts checks that a parsed problem holds no append slack
+// and no substring of its input: Tasks and Constraints have exact
+// capacity, every constraint endpoint shares its task's Name bytes,
+// resources and pins are interned the same way, and the text still
+// round-trips through Format unchanged.
+func TestParseCompacts(t *testing.T) {
+	for _, path := range []string{"../../testdata/example9.spec", "../../testdata/hetero9.spec", "../../testdata/satpass.spec"} {
+		p, err := ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(p.Tasks) != len(p.Tasks) || cap(p.Constraints) != len(p.Constraints) || cap(p.Machines) != len(p.Machines) {
+			t.Fatalf("%s: capacities tasks %d/%d constraints %d/%d machines %d/%d", path,
+				len(p.Tasks), cap(p.Tasks), len(p.Constraints), cap(p.Constraints), len(p.Machines), cap(p.Machines))
+		}
+		byName := map[string]*byte{}
+		for _, task := range p.Tasks {
+			byName[task.Name] = unsafe.StringData(task.Name)
+		}
+		shared := func(s string) bool { return s == model.Anchor || unsafe.StringData(s) == byName[s] }
+		for _, c := range p.Constraints {
+			if !shared(c.From) || !shared(c.To) {
+				t.Fatalf("%s: constraint %v does not share its tasks' names", path, c)
+			}
+		}
+		resources := map[string]*byte{}
+		for _, task := range p.Tasks {
+			if d, ok := resources[task.Resource]; ok && d != unsafe.StringData(task.Resource) {
+				t.Fatalf("%s: resource %q is not interned", path, task.Resource)
+			}
+			resources[task.Resource] = unsafe.StringData(task.Resource)
+		}
+		text := Format(p)
+		q, err := ParseString(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Format(q); got != text {
+			t.Fatalf("%s: Format(Parse(s)) changed the text:\n%s\nvs\n%s", path, got, text)
+		}
 	}
 }
 
