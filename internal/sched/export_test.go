@@ -51,3 +51,48 @@ func Audit(fn func()) (map[string]int, error) {
 	fn()
 	return a.checks, a.err
 }
+
+// UnboundedPortfolio is the portfolio's reference with no incumbent
+// bound: it runs each restart alone, on a fresh state that shares no
+// incumbent, through the whole pipeline and folds the outcomes with
+// betterIdx, the portfolio's total order. It also returns every
+// restart's timing-stage finish (-1 where the timing stage fails), the
+// quantity the incumbent bound prunes on.
+func UnboundedPortfolio(p *model.Problem, opts Options) (*Result, []model.Time, error) {
+	c, err := schedule.Compile(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	restarts := opts.Restarts
+	if restarts < 1 {
+		restarts = 1
+	}
+	timingFinish := make([]model.Time, restarts)
+	var best *Result
+	bestIdx := -1
+	var firstErr error
+	for r := 0; r < restarts; r++ {
+		st := newState(context.Background(), c, opts, nil)
+		st.reset(r)
+		timingFinish[r] = -1
+		if sigma, err := st.timing(); err == nil {
+			timingFinish[r] = sigma.Finish(st.tasks)
+		}
+		st = newState(context.Background(), c, opts, nil)
+		st.reset(r)
+		res, err := st.runTo(stageMinPower)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if best == nil || betterIdx(res, r, best, bestIdx) {
+			best, bestIdx = res, r
+		}
+	}
+	if best == nil {
+		return nil, timingFinish, firstErr
+	}
+	return best, timingFinish, nil
+}

@@ -80,9 +80,12 @@ func TestInfeasiblePropagatesThroughPipeline(t *testing.T) {
 
 // backtrackProblem has many same-resource tasks with deadlines in
 // reverse index order, forcing the timing search to backtrack heavily.
-func backtrackProblem() *model.Problem {
+func backtrackProblem() *model.Problem { return backtrackProblemN(7) }
+
+// backtrackProblemN is backtrackProblem with n tasks. Restart 0 needs
+// n(n-1)/2 backtracks; perturbed restarts need fewer.
+func backtrackProblemN(n int) *model.Problem {
 	p := &model.Problem{Name: "bt"}
-	const n = 7
 	for i := 0; i < n; i++ {
 		p.AddTask(model.Task{
 			Name:     string(rune('a' + i)),

@@ -593,15 +593,6 @@ type state struct {
 	// probes compare against a cached float instead of re-integrating
 	// the profile per gap time.
 	curU float64
-	// minDel holds each task's minimum effective delay over its
-	// (machine, level) choices: the admissible per-task lower bound the
-	// timing search's incumbent pruning uses (see timingLB).
-	minDel []model.Time
-	// specMiss counts consecutive speculative timing searches that
-	// ended in a reference rerun; at specMissLimit the worker stops
-	// speculating (see timing). Deliberately NOT cleared by reset: the
-	// signal spans the restarts a worker runs.
-	specMiss int
 
 	// Reusable scratch for the stage heuristics (see each use site);
 	// everything here is overwritten before being read, so reset does
@@ -650,18 +641,6 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 	st.feasBuf = make([]int, st.g.N())
 	st.visited = make([]bool, n)
 	st.skipGen = make([]int, n)
-	st.minDel = make([]model.Time, n)
-	for v := range st.minDel {
-		if chs := c.Choices[v]; len(chs) > 0 {
-			md := chs[0].Delay
-			for _, ch := range chs[1:] {
-				if ch.Delay < md {
-					md = ch.Delay
-				}
-			}
-			st.minDel[v] = md
-		}
-	}
 	st.csrPos = make([]int, st.g.N()+1)
 	st.csrCur = make([]int, st.g.N())
 	if c.Hetero {
