@@ -9,11 +9,14 @@
 //	router -addr :8080 -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //
 // Single requests (GET /schedule, GET /simulate, POST /problems,
-// POST /verify) forward to the owning backend; failures walk the
-// rendezvous rank order under jittered exponential backoff
-// (-retries), and -hedge-after races a slow owner against the
-// rank-next replica. POST /schedule/batch splits per item across
-// shards and stitches the responses back in order. GET /stats
+// POST /verify) forward to the owning backend; a failure walks on down
+// the key's live rendezvous rank order, up to -retries replicas with a
+// jittered exponential backoff (-retry-backoff) before each, and
+// -hedge-after races a slow GET against the next replica. POST
+// /schedule/batch splits per item across shards and stitches the
+// responses back in order; POST /simulate/campaign splits inline-spec
+// campaigns into seed sub-ranges. Batch items and campaign chunks fail
+// over under the same -retries and -retry-backoff. GET /stats
 // aggregates every shard's metrics plus the router's health view.
 //
 // Membership is health-checked: an active prober polls each backend's

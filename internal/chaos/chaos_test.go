@@ -389,42 +389,50 @@ func TestHedgingCoversSlowShard(t *testing.T) {
 
 // TestBreakerOpensWithoutProber covers the passive path: no prober, a
 // dead backend, and the per-backend circuit breaker as the only
-// protection. Forwards must keep succeeding via retries, the breaker
-// must open after the threshold, and a revived backend must close it
-// again through the half-open trial.
+// protection. The first sweep after the kill fails over through
+// retries and opens the breaker; while it stays open the second sweep
+// skips the dead shard at rank time and adds no retries — the case
+// that fails with the breaker alone disabled. A revived backend must
+// close it again through the half-open trial.
 func TestBreakerOpensWithoutProber(t *testing.T) {
 	dir := t.TempDir()
 	a := startShard(t, "", filepath.Join(dir, "a.log"))
 	b := startShard(t, "", filepath.Join(dir, "b.log"))
 	cfg := router.Config{
 		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-		Retries:          2,
-		RetryBackoff:     time.Millisecond,
+		// Longer than both sweeps, so the second runs entirely under
+		// the open breaker.
+		BreakerCooldown: 2 * time.Second,
+		Retries:         2,
+		RetryBackoff:    time.Millisecond,
 	}
 	rt, rts := newRouter(t, cfg, a.url(), b.url())
 
-	ps := pool(12)
+	// 24 names: shard b owns at least BreakerThreshold of them with
+	// near-certainty (P[fewer than 2] = 25 * 2^-24).
+	ps := pool(24)
 	register(t, rts.URL, nil, ps)
 
 	b.kill()
-	for _, p := range ps {
-		if got := get(t, rts.URL, p.Name); !strings.HasPrefix(got, "200\n") {
-			t.Fatalf("%s with shard b dead: %s", p.Name, got[:3])
+	sweep := func(phase string) {
+		for _, p := range ps {
+			if got := get(t, rts.URL, p.Name); !strings.HasPrefix(got, "200\n") {
+				t.Fatalf("%s: %s with shard b dead: %s", phase, p.Name, got[:3])
+			}
 		}
 	}
-	open := false
-	for _, h := range rt.Health() {
-		if h.Backend == b.url() && h.BreakerOpen {
-			open = true
-		}
+	sweep("first sweep")
+	if rt.Retries() == 0 {
+		t.Fatal("first sweep after the kill recorded no retries; failover never engaged")
 	}
-	if !open {
-		t.Error("breaker never opened on the dead backend")
+	pre := rt.Retries()
+	sweep("second sweep")
+	if got := rt.Retries() - pre; got != 0 {
+		t.Errorf("second sweep retried %d forwards; the open breaker should skip the dead shard at rank time", got)
 	}
 
 	b = b.restart()
-	waitFor(t, "breaker closed after revival", 5*time.Second, func() bool {
+	waitFor(t, "breaker closed after revival", 10*time.Second, func() bool {
 		for _, p := range ps {
 			get(t, rts.URL, p.Name) // traffic drives the half-open trial
 		}

@@ -1,13 +1,11 @@
 package router
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-	"sync"
 
 	"repro/internal/spec"
 	"repro/internal/web"
@@ -44,73 +42,29 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Group items by the first *live* backend in their rank order:
-	// rank is computed over the full configured set and DOWN backends
-	// are skipped, not re-ranked, so the grouping agrees with every
-	// other router sharing this health view.
-	groups := make(map[int][]int)
-	owners := make([]int, len(keys))
+	// Each item walks its key's live rank order: rank is computed over
+	// the full configured set and DOWN backends are skipped, not
+	// re-ranked, so the grouping agrees with every other router sharing
+	// this health view. Items sharing a candidate fly as one sub-batch.
+	cands := make([][]int, len(keys))
 	for i, k := range keys {
-		owner := rt.liveOrder(rt.rank(k))[0]
-		owners[i] = owner
-		groups[owner] = append(groups[owner], i)
+		cands[i] = rt.liveOrder(rt.rank(k))
 	}
-
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		failed  []int
-		results = make([]json.RawMessage, len(items))
-	)
-	run := func(b int, idxs []int, retry bool) {
-		defer wg.Done()
-		if retry {
-			rt.retries.Add(1)
-		}
-		got, err := rt.sendSubBatch(r, b, items, idxs)
-		mu.Lock()
-		defer mu.Unlock()
+	results := make([]json.RawMessage, len(items))
+	errs := rt.fanOut(r.Context(), cands, func(b int, idxs []int) error {
+		got, err := rt.sendSubBatch(r.Context(), b, items, idxs)
 		if err != nil {
-			if !retry {
-				failed = append(failed, idxs...)
-				return
-			}
-			for _, i := range idxs {
-				results[i] = errorItem(err)
-			}
-			return
+			return err
 		}
 		for j, i := range idxs {
 			results[i] = got[j]
 		}
-	}
-	for b, idxs := range groups {
-		wg.Add(1)
-		go run(b, idxs, false)
-	}
-	wg.Wait()
-
-	if len(failed) > 0 {
-		// One retry: regroup each failed item onto the next live replica
-		// after the one that just failed it. With a single backend that
-		// replica is the owner again, which doubles as a plain resend.
-		retryGroups := make(map[int][]int)
-		for _, i := range failed {
-			live := rt.liveOrder(rt.rank(keys[i]))
-			next := live[0]
-			for _, idx := range live {
-				if idx != owners[i] {
-					next = idx
-					break
-				}
-			}
-			retryGroups[next] = append(retryGroups[next], i)
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			results[i] = errorItem(err)
 		}
-		for b, idxs := range retryGroups {
-			wg.Add(1)
-			go run(b, idxs, true)
-		}
-		wg.Wait()
 	}
 
 	data, err := json.Marshal(rawBatch{Items: results})
@@ -168,7 +122,7 @@ func itemKey(it web.BatchItem) string {
 
 // sendSubBatch posts the given items to one backend's batch endpoint
 // and returns the per-item response documents, in the order sent.
-func (rt *Router) sendSubBatch(r *http.Request, b int, items []json.RawMessage, idxs []int) ([]json.RawMessage, error) {
+func (rt *Router) sendSubBatch(ctx context.Context, b int, items []json.RawMessage, idxs []int) ([]json.RawMessage, error) {
 	sub := rawBatch{Items: make([]json.RawMessage, len(idxs))}
 	for j, i := range idxs {
 		sub.Items[j] = items[i]
@@ -177,23 +131,14 @@ func (rt *Router) sendSubBatch(r *http.Request, b int, items []json.RawMessage, 
 	if err != nil {
 		return nil, err
 	}
-	be := rt.backends[b]
-	u := *be.url
-	u.Path = strings.TrimSuffix(u.Path, "/") + "/schedule/batch"
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u.String(), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	// Only the transport outcome feeds the breaker: a non-200 envelope
-	// below is a backend answer (e.g. overload shedding), not a reach-
-	// ability signal.
-	rt.health[b].recordForward(err, rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
+	resp, err := rt.send(ctx, b, b, http.MethodPost, "/schedule/batch", "", "application/json", body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	be := rt.backends[b]
+	// A non-200 envelope (e.g. overload shedding) is a backend answer:
+	// the sub-batch retries elsewhere, but the breaker is not fed.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("backend %s: status %d", be.name, resp.StatusCode)
 	}
@@ -208,7 +153,7 @@ func (rt *Router) sendSubBatch(r *http.Request, b int, items []json.RawMessage, 
 }
 
 // errorItem synthesizes a per-item result for an item whose shard
-// (and retry replica) could not be reached at all.
+// (and every retry replica) could not be reached at all.
 func errorItem(err error) json.RawMessage {
 	data, mErr := json.Marshal(web.BatchItemResult{
 		Status: http.StatusBadGateway,

@@ -2,12 +2,11 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -64,39 +63,24 @@ func (rt *Router) campaign(w http.ResponseWriter, r *http.Request) {
 		lo = hi
 	}
 
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		reds = make([]*sim.Reducer, chunks)
-		errs = make([]error, chunks)
-	)
-	run := func(i, b int) {
-		defer wg.Done()
-		red, err := rt.sendCampaignChunk(r, b, req, parts[i].lo, parts[i].hi)
-		mu.Lock()
-		reds[i], errs[i] = red, err
-		mu.Unlock()
+	// Chunk i walks the live order rotated by i: it starts on its own
+	// backend and fails over to the next ones. Ranges are disjoint, so
+	// a retried chunk can never double-count a run.
+	cands := make([][]int, chunks)
+	for i := range cands {
+		cands[i] = append(append([]int(nil), live[i:]...), live[:i]...)
 	}
-	for i := range parts {
-		wg.Add(1)
-		go run(i, live[i])
-	}
-	wg.Wait()
-
-	// One retry per failed chunk, on the next live replica after the
-	// one that failed it (with a single survivor that is a plain
-	// resend). Ranges are disjoint, so a retried chunk can never
-	// double-count a run.
-	for i := range parts {
-		if errs[i] == nil {
-			continue
+	reds := make([]*sim.Reducer, chunks)
+	errs := rt.fanOut(r.Context(), cands, func(b int, idxs []int) error {
+		for _, i := range idxs {
+			red, err := rt.sendCampaignChunk(r.Context(), b, req, parts[i].lo, parts[i].hi)
+			if err != nil {
+				return err
+			}
+			reds[i] = red
 		}
-		next := live[(i+1)%len(live)]
-		rt.retries.Add(1)
-		wg.Add(1)
-		go run(i, next)
-	}
-	wg.Wait()
+		return nil
+	})
 
 	for _, err := range errs {
 		if err != nil {
@@ -150,7 +134,7 @@ func splitCampaign(body []byte) (req web.CampaignRequest, key string, shardable 
 
 // sendCampaignChunk posts one sub-range of the campaign to backend b
 // with Partial=true and returns the rebuilt reducer.
-func (rt *Router) sendCampaignChunk(r *http.Request, b int, req web.CampaignRequest, lo, hi int) (*sim.Reducer, error) {
+func (rt *Router) sendCampaignChunk(ctx context.Context, b int, req web.CampaignRequest, lo, hi int) (*sim.Reducer, error) {
 	sub := web.CampaignRequest{
 		Spec:    req.Spec,
 		Runs:    req.Runs,
@@ -164,22 +148,12 @@ func (rt *Router) sendCampaignChunk(r *http.Request, b int, req web.CampaignRequ
 	if err != nil {
 		return nil, err
 	}
-	be := rt.backends[b]
-	u := *be.url
-	u.Path = strings.TrimSuffix(u.Path, "/") + "/simulate/campaign"
-	httpReq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u.String(), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(httpReq)
-	// Transport outcome only: a non-200 below is a backend answer, not
-	// a reachability signal.
-	rt.health[b].recordForward(err, rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
+	resp, err := rt.send(ctx, b, b, http.MethodPost, "/simulate/campaign", "", "application/json", body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	be := rt.backends[b]
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("backend %s: status %d: %s", be.name, resp.StatusCode, bytes.TrimSpace(msg))

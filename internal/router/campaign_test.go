@@ -3,6 +3,7 @@ package router
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/web"
@@ -19,12 +20,12 @@ func campaignDoc(t *testing.T, req web.CampaignRequest) string {
 
 // TestCampaignDifferentialSingleVsSharded extends the serving tier's
 // differential guarantee to POST /simulate/campaign: a router over
-// three shards — fanning inline-spec campaigns out as contiguous
-// seed sub-ranges and merging the partial reducers — answers the
-// whole campaign surface byte-identically to one single-process
-// server. That includes name-addressed campaigns (forwarded whole to
-// the owner), partial sub-range requests (coordinator passthrough),
-// and the error contract.
+// three shards, live or refused — fanning inline-spec campaigns out
+// as contiguous seed sub-ranges and merging the partial reducers —
+// answers the whole campaign surface byte-identically to one
+// single-process server. That includes name-addressed campaigns
+// (forwarded whole to the owner), partial sub-range requests
+// (coordinator passthrough), and the error contract.
 func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 	hetero := heteroSpec()
 	stream := []wireReq{
@@ -47,15 +48,42 @@ func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 	single := newBackend(t)
 	want := play(t, single.URL, stream)
 
-	b1, b2, b3 := newBackend(t), newBackend(t), newBackend(t)
-	_, rts := newRouterServer(t, b1.URL, b2.URL, b3.URL)
-	got := play(t, rts.URL, stream)
+	cases := []struct {
+		name       string
+		live, dead int
+		cfg        Config
+	}{
+		{"three live shards", 3, 0, Config{}},
+		// Chunks on refused ports walk their rotated live order as far
+		// as Retries allows, so every chunk reaches the one live shard.
+		{"one live shard, two refused, two retries", 1, 2, Config{Retries: 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var urls []string
+			for i := 0; i < tc.live; i++ {
+				urls = append(urls, newBackend(t).URL)
+			}
+			for i := 0; i < tc.dead; i++ {
+				ts := httptest.NewServer(http.NotFoundHandler())
+				ts.Close()
+				urls = append(urls, ts.URL)
+			}
+			rt, err := New(urls, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt.Handler())
+			t.Cleanup(rts.Close)
+			got := play(t, rts.URL, stream)
 
-	for i := range stream {
-		if want[i] != got[i] {
-			t.Errorf("request %d (%s %s): sharded response differs from single process:\n--- single\n%s\n--- sharded\n%s",
-				i, stream[i].method, stream[i].path, want[i], got[i])
-		}
+			for i := range stream {
+				if want[i] != got[i] {
+					t.Errorf("request %d (%s %s): sharded response differs from single process:\n--- single\n%s\n--- sharded\n%s",
+						i, stream[i].method, stream[i].path, want[i], got[i])
+				}
+			}
+		})
 	}
 }
 

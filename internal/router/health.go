@@ -52,19 +52,19 @@ type Config struct {
 	// re-opens it for another cooldown.
 	BreakerCooldown time.Duration
 
-	// Retries is how many additional replicas a failed forward walks
-	// down the rendezvous rank order (default 1, the historical
-	// retry-once). Attempts after the first sleep a jittered
-	// exponential backoff (RetryBackoff * 2^(attempt-1) * [0.5,1.5)).
+	// Retries is how many additional replicas a failed forward, batch
+	// item or campaign chunk walks down its live rank order (default
+	// 1). Attempts after the first sleep a jittered exponential
+	// backoff (RetryBackoff * 2^(attempt-1) * [0.5,1.5)).
 	Retries int
 	// RetryBackoff is the base backoff before a retry (default 10ms).
 	// Negative disables sleeping entirely (tests).
 	RetryBackoff time.Duration
 
 	// HedgeAfter, when positive, arms tail hedging for body-less
-	// forwards (GETs): if the first replica has not answered within
-	// this duration the rank-next live replica is fired too and the
-	// first success wins. The pipeline is deterministic, so both
+	// forwards (GETs): if a candidate has not answered within this
+	// duration the next live candidate is fired too and the first
+	// success wins. The pipeline is deterministic, so both
 	// answers are byte-identical and taking the earlier one is safe.
 	HedgeAfter time.Duration
 }

@@ -36,11 +36,13 @@
 // set and unavailable backends are *skipped in rank order* — never
 // re-ranked — so any two routers sharing a health view place keys
 // identically, and a recovered backend slots back into exactly the
-// keys it owned. Retries walk the live rank order under jittered
-// exponential backoff; optional tail hedging (Config.HedgeAfter)
-// races the rank-next replica against a slow owner and takes the
-// first answer, which determinism guarantees is byte-identical to the
-// one it raced. A forward that lands on a non-owner (failover, hedge,
+// keys it owned. Every failover is one walk down that live rank
+// order: a failed attempt moves to the next replica under jittered
+// exponential backoff, up to Config.Retries times, for single
+// forwards, batch items and campaign chunks alike; optional tail
+// hedging (Config.HedgeAfter) races a slow candidate against the
+// next one and takes the first answer, which determinism guarantees
+// is byte-identical to the one it raced. A forward that lands on a non-owner (failover, hedge,
 // or a DOWN owner skipped at rank time) carries the owner's base URL
 // in the X-Handoff-Owner header, so the answering shard can ship the
 // computed record to the owner asynchronously — hinted handoff
@@ -162,12 +164,12 @@ func (rt *Router) Close() {
 	rt.probeWG.Wait()
 }
 
-// Retries reports how many requests were retried against another
-// replica after a backend failed.
+// Retries reports how many forwards, sub-batches and campaign chunks
+// were retried against another replica after a backend failed.
 func (rt *Router) Retries() int64 { return rt.retries.Load() }
 
 // Hedges reports how many hedge requests were fired against the
-// rank-next replica of a slow owner.
+// next replica of a slow candidate.
 func (rt *Router) Hedges() int64 { return rt.hedges.Load() }
 
 // rank returns backend indices ordered by rendezvous score for key,
@@ -280,7 +282,7 @@ func (rt *Router) byProblem(w http.ResponseWriter, r *http.Request) {
 // bySpecName routes spec-carrying POST endpoints by the problem name
 // inside the document, so a follow-up GET /schedule?problem=<name>
 // lands on the shard that registered it. Successful registrations are
-// additionally replicated to the rank-next replica: registration is
+// additionally replicated to the next live replica: registration is
 // in-memory per shard, so without the copy a failover for the name
 // would 404 on the runner-up exactly when the owner is down — the
 // moment it is needed.
@@ -298,9 +300,9 @@ func (rt *Router) bySpecName(w http.ResponseWriter, r *http.Request) {
 	}
 	// Oversized or unparseable bodies still forward (key ""): the
 	// owner of the empty key produces the canonical 413/400 bytes.
-	status := rt.forward(w, r, key, body)
+	status, answered := rt.forward(w, r, key, body)
 	if key != "" && status >= 200 && status < 300 {
-		rt.replicateRegistration(r, key, body)
+		rt.replicateRegistration(r, key, body, answered)
 	}
 }
 
@@ -322,42 +324,29 @@ func (rt *Router) byVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 // replicateRegistration best-effort copies a successful registration
-// body to the rank-next replica (skipping whoever just answered).
-// Registration is idempotent and deterministic, so the copy needs no
-// acknowledgement protocol; a failed copy costs only a 404 on a later
-// failover, which the client can retry after re-registering.
-func (rt *Router) replicateRegistration(r *http.Request, key string, body []byte) {
-	order := rt.rank(key)
-	if len(order) < 2 {
-		return
-	}
-	// The owner answered (or its stand-in did); copy to the first
-	// other live backend in rank order.
-	live := rt.liveOrder(order)
-	target := -1
-	for _, idx := range live {
-		if idx != live[0] {
-			target = idx
-			break
+// body to the live rank after answered, the backend that registered
+// it. Ranks before answered failed this very upload (forward walks the
+// live order), so the copy skips them: without a failover that is the
+// runner-up, after one it is the next live replica rather than the
+// dead owner. Registration is idempotent and deterministic, so the
+// copy needs no acknowledgement protocol; a failed copy costs only a
+// 404 on a later failover, which the client can retry after
+// re-registering.
+func (rt *Router) replicateRegistration(r *http.Request, key string, body []byte, answered int) {
+	live := rt.liveOrder(rt.rank(key))
+	for i, idx := range live[:len(live)-1] {
+		if idx != answered {
+			continue
 		}
-	}
-	if target < 0 {
+		target := live[i+1]
+		resp, err := rt.send(context.WithoutCancel(r.Context()), target, target,
+			http.MethodPost, r.URL.Path, "", r.Header.Get("Content-Type"), body)
+		if err == nil {
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort replica copy
+			resp.Body.Close()
+		}
 		return
 	}
-	req, err := http.NewRequestWithContext(context.WithoutCancel(r.Context()),
-		http.MethodPost, rt.backendURL(target, r.URL.Path, ""), bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort replica copy
-	resp.Body.Close()
 }
 
 // backendURL builds the proxied URL for backend idx.
@@ -368,152 +357,181 @@ func (rt *Router) backendURL(idx int, path, rawQuery string) string {
 	return u.String()
 }
 
-// forward proxies one request along the key's live rank order:
-// the first sendable replica is tried, transport failures walk to the
-// next one under jittered exponential backoff (an HTTP response of
+// forward proxies one request along the key's live rank order, capped
+// at Retries+1 candidates. The first candidate is launched at once;
+// when an attempt fails and nothing else is in flight, the next one is
+// launched after a jittered exponential backoff (an HTTP response of
 // any status is a backend answer, not a backend failure, and is
-// relayed as-is), and — for body-less requests with hedging armed — a
-// slow owner is raced against the rank-next replica. body is the
-// pre-read request body for POSTs (nil = no body). Returns the status
-// relayed to the client (0 if the client went away).
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) int {
+// relayed as-is). For body-less requests with HedgeAfter set, a
+// candidate still silent after HedgeAfter is raced against the next
+// one and the first answer wins: determinism makes every replica's
+// bytes identical, so hedging bounds tail latency without a
+// consistency protocol. Losers are canceled and drained in the
+// background. body is the pre-read request body for POSTs (nil = no
+// body). Returns the status relayed to the client (0 if the client
+// went away) and the backend that answered (-1 if none did).
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) (status, answered int) {
 	order := rt.rank(key)
 	owner := order[0]
 	cands := rt.liveOrder(order)
 	if n := rt.cfg.Retries + 1; len(cands) > n {
 		cands = cands[:n]
 	}
-	if rt.cfg.HedgeAfter > 0 && body == nil && len(cands) > 1 {
-		return rt.forwardHedged(w, r, cands, owner)
-	}
-	var lastErr error
-	for attempt, idx := range cands {
-		if attempt > 0 {
-			rt.retries.Add(1)
-			rt.backoffSleep(r.Context(), attempt)
-		}
-		resp, err := rt.send(r.Context(), r, idx, owner, body)
-		rt.health[idx].recordForward(err, rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
-		if err != nil {
-			if r.Context().Err() != nil {
-				writeError(w, web.StatusClientClosedRequest, "client closed request")
-				return 0
-			}
-			lastErr = err
-			continue
-		}
-		defer resp.Body.Close()
-		copyResponse(w, resp)
-		return resp.StatusCode
-	}
-	writeError(w, http.StatusBadGateway, fmt.Sprintf("all replicas failed: %v", lastErr))
-	return http.StatusBadGateway
-}
-
-// forwardHedged races the first candidate against later ones: each
-// time HedgeAfter elapses without an answer the next replica is fired
-// too, and the first transport-level success wins. Determinism makes
-// the race safe — every replica computes byte-identical bytes for the
-// same request — so hedging bounds tail latency without a consistency
-// protocol. Losers are canceled and drained in the background.
-func (rt *Router) forwardHedged(w http.ResponseWriter, r *http.Request, cands []int, owner int) int {
-	ctx, cancel := context.WithCancel(r.Context())
 	type answer struct {
 		resp *http.Response
 		err  error
 		idx  int
 	}
 	ch := make(chan answer, len(cands))
-	launch := func(idx int) {
-		resp, err := rt.send(ctx, r, idx, owner, nil)
-		ch <- answer{resp: resp, err: err, idx: idx}
-	}
-	inflight := 1
-	launched := 1
-	go launch(cands[0])
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
-
-	// finish cancels the losers and drains their answers off the
-	// buffered channel so response bodies are closed promptly.
-	finish := func(pending int) {
-		cancel()
-		if pending > 0 {
-			go func() {
-				for i := 0; i < pending; i++ {
+	hedging := rt.cfg.HedgeAfter > 0 && body == nil
+	var hedge <-chan time.Time
+	launched, inflight := 0, 0
+	ctx := r.Context()
+	if hedging {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer func() {
+			// Cancel the attempts still in flight and close whatever
+			// responses they deliver anyway.
+			cancel()
+			go func(pending int) {
+				for ; pending > 0; pending-- {
 					if a := <-ch; a.resp != nil {
 						a.resp.Body.Close()
 					}
 				}
-			}()
+			}(inflight)
+		}()
+	}
+	launch := func() {
+		idx := cands[launched]
+		launched++
+		inflight++
+		attempt := func() {
+			resp, err := rt.send(ctx, idx, owner, r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
+			ch <- answer{resp: resp, err: err, idx: idx}
+		}
+		hedge = nil
+		if !hedging {
+			attempt() // nothing to race, and ch has room: run it inline
+			return
+		}
+		go attempt()
+		if launched < len(cands) {
+			hedge = time.After(rt.cfg.HedgeAfter)
 		}
 	}
+	launch()
 
 	var lastErr error
 	for {
 		select {
-		case <-timer.C:
-			if launched < len(cands) {
-				rt.hedges.Add(1)
-				go launch(cands[launched])
-				launched++
-				inflight++
-				timer.Reset(rt.cfg.HedgeAfter)
-			}
+		case <-hedge:
+			rt.hedges.Add(1)
+			launch()
 		case a := <-ch:
 			inflight--
-			rt.health[a.idx].recordForward(a.err, rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
 			if a.err == nil {
-				status := a.resp.StatusCode
 				copyResponse(w, a.resp)
 				a.resp.Body.Close()
-				finish(inflight)
-				return status
+				return a.resp.StatusCode, a.idx
 			}
 			if r.Context().Err() != nil {
-				finish(inflight)
 				writeError(w, web.StatusClientClosedRequest, "client closed request")
-				return 0
+				return 0, -1
 			}
 			lastErr = a.err
-			if inflight == 0 {
-				if launched < len(cands) {
-					// Every fired attempt failed fast; fall through to the
-					// next replica immediately (this is a retry, not a hedge).
-					rt.retries.Add(1)
-					go launch(cands[launched])
-					launched++
-					inflight++
-					continue
-				}
-				finish(0)
-				writeError(w, http.StatusBadGateway, fmt.Sprintf("all replicas failed: %v", lastErr))
-				return http.StatusBadGateway
+			if inflight > 0 {
+				continue
 			}
+			if launched == len(cands) {
+				writeError(w, http.StatusBadGateway, fmt.Sprintf("all replicas failed: %v", lastErr))
+				return http.StatusBadGateway, -1
+			}
+			rt.retries.Add(1)
+			rt.backoffSleep(r.Context(), launched)
+			launch()
 		}
 	}
 }
 
-// send issues one proxied request to backend idx. A forward landing on
+// fanOut runs the jobs of a fan-out (batch sub-batches, campaign
+// chunks) under forward's retry policy. cands[j] is job j's candidate
+// backends, best first. Each round groups the pending jobs by their
+// current candidate and calls try once per group, concurrently; the
+// jobs of a group whose try failed move to their next candidate, for
+// up to Retries rounds with a jittered backoff between rounds. Pending
+// jobs stay in ascending order, so a group lists its jobs in request
+// order. Returns each job's last error (nil once the job succeeded).
+func (rt *Router) fanOut(ctx context.Context, cands [][]int, try func(b int, jobs []int) error) []error {
+	errs := make([]error, len(cands))
+	pending := make([]int, len(cands))
+	for j := range pending {
+		pending[j] = j
+	}
+	for round := 0; len(pending) > 0; round++ {
+		if round > 0 {
+			rt.backoffSleep(ctx, round)
+		}
+		groups := make(map[int][]int)
+		for _, j := range pending {
+			b := cands[j][round]
+			groups[b] = append(groups[b], j)
+		}
+		var wg sync.WaitGroup
+		for b, jobs := range groups {
+			if round > 0 {
+				rt.retries.Add(1)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := try(b, jobs)
+				for _, j := range jobs {
+					errs[j] = err
+				}
+			}()
+		}
+		wg.Wait()
+		next := pending[:0]
+		for _, j := range pending {
+			if errs[j] != nil && round < rt.cfg.Retries && round+1 < len(cands[j]) && ctx.Err() == nil {
+				next = append(next, j)
+			}
+		}
+		pending = next
+	}
+	return errs
+}
+
+// send issues one request to backend idx. It is the only place the
+// router talks to a backend's serving endpoints, so it is also the
+// only feed of the circuit breakers: a transport error counts against
+// idx unless ctx was canceled first (a client that gave up or a hedge
+// loser says nothing about the backend's health). A request landing on
 // a non-owner (failover, hedge, or a DOWN owner skipped at rank time)
 // carries the owner's base URL in X-Handoff-Owner so the answering
 // backend can ship the owner its record (hinted handoff).
-func (rt *Router) send(ctx context.Context, r *http.Request, idx, owner int, body []byte) (*http.Response, error) {
+func (rt *Router) send(ctx context.Context, idx, owner int, method, path, rawQuery, contentType string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, rt.backendURL(idx, r.URL.Path, r.URL.RawQuery), rd)
+	req, err := http.NewRequestWithContext(ctx, method, rt.backendURL(idx, path, rawQuery), rd)
 	if err != nil {
 		return nil, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	if idx != owner {
 		req.Header.Set(web.HandoffOwnerHeader, rt.backends[owner].name)
 	}
-	return rt.client.Do(req)
+	resp, err := rt.client.Do(req)
+	if ctx.Err() == nil {
+		rt.health[idx].recordForward(err, rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
+	}
+	return resp, err
 }
 
 // copyResponse relays a backend response verbatim (status, entity

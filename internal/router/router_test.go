@@ -183,72 +183,131 @@ func TestRendezvousProperties(t *testing.T) {
 	}
 }
 
-// TestFailoverRetry kills the shard owning a key and asserts the
-// router transparently retries its requests — single and batch —
-// against the next replica.
+// TestFailoverRetry kills shards on a key's rank order and asserts the
+// router transparently fails over its requests — upload, single and
+// batch — down that order, and that the upload's registration ends up
+// on every live shard. ranks spells the liveness of the key's rank
+// order: 'D' a refused port, 'L' a live backend.
 func TestFailoverRetry(t *testing.T) {
-	live := newBackend(t)
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // the port is now refused: a transport error, not an HTTP answer
+	cases := []struct {
+		name  string
+		ranks string
+		cfg   Config
+	}{
+		{"owner dead", "DL", Config{}},
+		// The registration replica must skip the dead owner and land on
+		// the live shard that did not answer.
+		{"owner dead, two live replicas", "DLL", Config{}},
+		// Batch items walk as far as Retries allows, like single requests.
+		{"two dead ranks, two retries", "DDL", Config{Retries: 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var urls, liveURLs []string
+			dead := make(map[string]bool)
+			for _, c := range tc.ranks {
+				if c == 'L' {
+					ts := newBackend(t)
+					urls = append(urls, ts.URL)
+					liveURLs = append(liveURLs, ts.URL)
+					continue
+				}
+				ts := httptest.NewServer(http.NotFoundHandler())
+				ts.Close() // the port is now refused: a transport error, not an HTTP answer
+				urls = append(urls, ts.URL)
+				dead[ts.URL] = true
+			}
+			rt, err := New(urls, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt.Handler())
+			t.Cleanup(rts.Close)
 
-	rt, rts := newRouterServer(t, dead.URL, live.URL)
+			// Find a problem name whose rank order has the row's
+			// liveness. Scores hash the backend URL (which carries an
+			// ephemeral port), so probe names instead of hardcoding one.
+			name := ""
+			for i := 0; i < 256 && name == ""; i++ {
+				n := fmt.Sprintf("probe-%d", i)
+				got := ""
+				for _, idx := range rt.rank("name/" + n) {
+					if dead[rt.backends[idx].name] {
+						got += "D"
+					} else {
+						got += "L"
+					}
+				}
+				if got == tc.ranks {
+					name = n
+				}
+			}
+			if name == "" {
+				t.Fatalf("no probe name has rank liveness %s in 256 tries", tc.ranks)
+			}
+			p := paperex.Nine().Clone()
+			p.Name = name
+			specDoc := spec.Format(p)
 
-	// Find a problem name whose owner is the dead backend. Scores hash
-	// the backend URL (which carries an ephemeral port), so probe a few
-	// names instead of hardcoding one.
-	name := ""
-	for i := 0; i < 64; i++ {
-		n := fmt.Sprintf("probe-%d", i)
-		if rt.backends[rt.rank("name/" + n)[0]].name == dead.URL {
-			name = n
-			break
-		}
-	}
-	if name == "" {
-		t.Fatal("no probe name hashed onto the dead backend in 64 tries")
-	}
-	p := paperex.Nine().Clone()
-	p.Name = name
-	specDoc := spec.Format(p)
+			// Upload routes to the dead owner, fails over to a live
+			// replica, and registers there; the follow-up GET and batch
+			// items fail over identically, so they find the registration.
+			resp, err := http.Post(rts.URL+"/problems", "text/plain", strings.NewReader(specDoc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("upload through dead owner: status %d", resp.StatusCode)
+			}
+			// The replica copy is sent after the upload's response.
+			for _, u := range liveURLs {
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					resp, err := http.Get(u + "/schedule?problem=" + name + "&format=json")
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusOK {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("live backend %s does not hold the registration: status %d", u, resp.StatusCode)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
 
-	// Upload routes to the dead owner, fails over to the live replica,
-	// and registers there; the follow-up GET and batch items fail over
-	// identically, so they find the registration.
-	resp, err := http.Post(rts.URL+"/problems", "text/plain", strings.NewReader(specDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("upload through dead owner: status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(rts.URL + "/schedule?problem=" + name + "&format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("schedule through dead owner: status %d", resp.StatusCode)
-	}
+			resp, err = http.Get(rts.URL + "/schedule?problem=" + name + "&format=json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("schedule through dead owner: status %d", resp.StatusCode)
+			}
 
-	doc, _ := json.Marshal(map[string]any{"items": []map[string]any{{"problem": name}}})
-	resp, err = http.Post(rts.URL+"/schedule/batch", "application/json", strings.NewReader(string(doc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch struct {
-		Items []web.BatchItemResult `json:"items"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(batch.Items) != 1 || batch.Items[0].Status != http.StatusOK {
-		t.Fatalf("batch through dead owner: %+v", batch)
-	}
+			doc, _ := json.Marshal(map[string]any{"items": []map[string]any{{"problem": name}}})
+			resp, err = http.Post(rts.URL+"/schedule/batch", "application/json", strings.NewReader(string(doc)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch struct {
+				Items []web.BatchItemResult `json:"items"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if len(batch.Items) != 1 || batch.Items[0].Status != http.StatusOK {
+				t.Fatalf("batch through dead owner: %+v", batch)
+			}
 
-	if rt.Retries() < 3 {
-		t.Errorf("retries = %d, want >= 3 (upload, schedule, batch)", rt.Retries())
+			if rt.Retries() < 3 {
+				t.Errorf("retries = %d, want >= 3 (upload, schedule, batch)", rt.Retries())
+			}
+		})
 	}
 }
 
@@ -480,5 +539,43 @@ func TestProberEvictsAndRecovers(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("router /readyz with live backends: status %d", resp.StatusCode)
+	}
+}
+
+// TestClientCancelKeepsBreakerClosed pins that only the backend's own
+// failures feed its breaker: BreakerThreshold clients giving up on a
+// slow but healthy backend must not open it.
+func TestClientCancelKeepsBreakerClosed(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	}))
+	t.Cleanup(slow.Close)
+	rt, err := New([]string{slow.URL}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count finished router handlers, so the check below runs after
+	// every forward has seen its client leave.
+	done := make(chan struct{}, rt.cfg.BreakerThreshold)
+	h := rt.Handler()
+	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		done <- struct{}{}
+	}))
+	t.Cleanup(rts.Close)
+
+	impatient := &http.Client{Timeout: 50 * time.Millisecond}
+	for i := 0; i < rt.cfg.BreakerThreshold; i++ {
+		if resp, err := impatient.Get(rts.URL + "/schedule?problem=nine-task-example"); err == nil {
+			resp.Body.Close()
+			t.Fatalf("request %d: status %d from a backend that never answers", i, resp.StatusCode)
+		}
+		<-done
+	}
+	if h := rt.Health()[0]; h.BreakerOpen {
+		t.Errorf("breaker opened on a healthy backend after %d client cancellations: %+v", rt.cfg.BreakerThreshold, h)
 	}
 }
