@@ -27,7 +27,12 @@
 // -speedup-slow / -speedup-fast) asserts an absolute property of the
 // head run alone: the fast variant of a benchmark pair must beat the
 // slow one by at least the given ratio — how CI locks in that the
-// pooled campaign engine actually scales. -min-cpus keeps that gate
+// pooled campaign engine actually scales. -min-speedup-per-cpu states
+// that ratio relative to the machine instead: per-CPU × min(CPUs, 8),
+// 8 being the pool width of the fast variant, so at 0.75 per CPU the
+// pool must reach 6× on an 8-CPU box, 3× on 4 CPUs and 1.5× on 2, and
+// the gate is enforced on every machine. With the fixed -min-speedup,
+// -min-cpus keeps the gate
 // advisory on machines too narrow to demonstrate parallelism, but never
 // silent: an unenforced gate reports "skipped": true in the JSON verdict
 // and prints "SKIPPED: speedup gate needs N CPUs, have M" to stderr,
@@ -60,6 +65,7 @@ func main() {
 	speedupFast := flag.String("speedup-fast", "", "fast-variant benchmark name for the head speedup gate")
 	minSpeedup := flag.Float64("min-speedup", 0, "minimum head ns/op ratio slow/fast (0 disables the speedup gate)")
 	minCPUs := flag.Int("min-cpus", 0, "enforce -min-speedup only on machines with at least this many CPUs (the ratio is meaningless on boxes too narrow to parallelize)")
+	perCPU := flag.Float64("min-speedup-per-cpu", 0, "minimum head ns/op ratio slow/fast per usable CPU: the bound is this times min(CPUs, 8), enforced on every machine (replaces -min-speedup and -min-cpus)")
 	jsonOut := flag.Bool("json", false, "emit the verdicts as JSON on stdout instead of a table")
 	flag.Parse()
 	if *baseFile == "" || *headFile == "" {
@@ -81,6 +87,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
+	}
+
+	if *perCPU > 0 {
+		if *minSpeedup > 0 || *minCPUs > 0 {
+			fmt.Fprintln(os.Stderr, "benchgate: -min-speedup-per-cpu takes the place of -min-speedup and -min-cpus")
+			os.Exit(2)
+		}
+		*minSpeedup = scaledMinSpeedup(*perCPU, runtime.NumCPU(), poolWidth)
 	}
 
 	verdicts, failed := gate(base, head, re, *maxRegress, *maxAllocRegress)
@@ -167,6 +181,18 @@ type speedupVerdict struct {
 // gate.
 func (sv *speedupVerdict) skipLine() string {
 	return fmt.Sprintf("SKIPPED: speedup gate needs %d CPUs, have %d", sv.MinCPUs, sv.CPUs)
+}
+
+// poolWidth is the parallel width of the speedup pair's fast variant
+// (BenchmarkCampaign/pooled-8): CPUs beyond it add nothing to its
+// speedup.
+const poolWidth = 8
+
+// scaledMinSpeedup is the speedup bound relative to the machine:
+// perCPU for each CPU the fast variant can use, which is at most its
+// parallel width.
+func scaledMinSpeedup(perCPU float64, cpus, width int) float64 {
+	return perCPU * float64(min(cpus, width))
 }
 
 // speedupGate checks head[slow].ns / head[fast].ns >= min. On machines

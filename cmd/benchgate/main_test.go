@@ -179,3 +179,32 @@ func TestSpeedupGateSkipIsLoud(t *testing.T) {
 		t.Fatalf("enforced gate marked skipped: %+v", sv)
 	}
 }
+
+// TestScaledMinSpeedup checks the machine-relative bound: 0.75 per CPU
+// up to the pool width of 8, so a 4-CPU runner still needs 3x (the
+// fixed bound it replaces), a 2-CPU runner 1.5x, and CPUs past the
+// width add nothing.
+func TestScaledMinSpeedup(t *testing.T) {
+	for _, c := range []struct {
+		cpus int
+		want float64
+	}{{1, 0.75}, {2, 1.5}, {4, 3}, {8, 6}, {64, 6}} {
+		if got := scaledMinSpeedup(0.75, c.cpus, poolWidth); got != c.want {
+			t.Errorf("%d CPUs: bound %v, want %v", c.cpus, got, c.want)
+		}
+	}
+	// The scaled bound is enforced on a 2-CPU box: 1.72x passes 1.5x,
+	// 1.4x fails it.
+	head := map[string]sample{
+		"BenchmarkCampaign/sequential": {ns: 1720},
+		"BenchmarkCampaign/pooled-8":   {ns: 1000},
+	}
+	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
+	if sv := speedupGate(head, slow, fast, scaledMinSpeedup(0.75, 2, poolWidth), 2, 0); sv.Failed || !sv.Enforced || sv.Skipped {
+		t.Fatalf("1.72x against the 2-CPU bound: %+v", sv)
+	}
+	head[fast] = sample{ns: 1230}
+	if sv := speedupGate(head, slow, fast, scaledMinSpeedup(0.75, 2, poolWidth), 2, 0); !sv.Failed {
+		t.Fatalf("1.4x passed the 2-CPU bound of 1.5x: %+v", sv)
+	}
+}

@@ -89,6 +89,16 @@ func checkAnswer(st *state, memo *refProfile, q string, v int, t model.Time, got
 			return fmt.Errorf("task %d served slack %d, graph says %d", v, got, want)
 		}
 		return nil
+	case "gapcands":
+		if want := gapCandidatesScan(st, sigma, t); !slices.Equal(got.([]int), want) {
+			return fmt.Errorf("candidates at t=%d are %v, full scan says %v", t, got, want)
+		}
+		return nil
+	case "select":
+		if want := selectScan(st, v); got.(int) != want {
+			return fmt.Errorf("picked task %d after sibling %d, linear scan picks %d", got, v, want)
+		}
+		return nil
 	case "timevalid":
 		if want := schedule.CheckTimeValidTasks(st.g, st.c, st.tasks, sigma) == nil; got.(bool) != want {
 			return fmt.Errorf("stage claims time-valid %v, CheckTimeValidTasks says %v", got, want)
@@ -140,6 +150,56 @@ func checkAnswer(st *state, memo *refProfile, q string, v int, t model.Time, got
 		return fmt.Errorf("at t=%d got %v, reference %v", t, got, want)
 	}
 	return nil
+}
+
+// gapCandidatesScan is the scan the gap-candidate index replaces: every
+// task finishing at or before t whose graph slack reaches t, insertion
+// sorted from index order by descending power, then latest finish.
+func gapCandidatesScan(st *state, sigma schedule.Schedule, t model.Time) []int {
+	var cs []gapCand
+	for v := range st.tasks {
+		fin := sigma.Start[v] + st.tasks[v].Delay
+		if fin > t || schedule.Slack(st.g, st.c, sigma, v) < t-fin+1 {
+			continue
+		}
+		cs = append(cs, gapCand{v: v, power: st.tasks[v].Power, finish: fin})
+	}
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0; j-- {
+			a, b := cs[j-1], cs[j]
+			if b.power > a.power || (b.power == a.power && b.finish > a.finish) {
+				cs[j-1], cs[j] = b, a
+			} else {
+				break
+			}
+		}
+	}
+	out := []int{}
+	for _, c := range cs {
+		out = append(out, c.v)
+	}
+	return out
+}
+
+// selectScan is the lazy minimum selection the timing heap replaces:
+// the unvisited task with the smallest (dist, prio) strictly greater
+// than that of last, the depth's last tried sibling (none when last <
+// 0), or -1.
+func selectScan(st *state, last int) int {
+	c := -1
+	for v := range st.visited {
+		if st.visited[v] {
+			continue
+		}
+		dv, pv := st.dist[v], st.prio[v]
+		if last >= 0 && (dv < st.dist[last] || (dv == st.dist[last] && pv <= st.prio[last])) {
+			continue
+		}
+		if c < 0 || dv < st.dist[c] || (dv == st.dist[c] && pv < st.prio[c]) {
+			c = v
+		}
+	}
+	return c
 }
 
 // checkDist compares a live longest-path bank with a from-scratch
@@ -271,6 +331,7 @@ func TestAuditCatches(t *testing.T) {
 		violate    func(st *state, sigma schedule.Schedule)
 	}{
 		{"clean", "", func(st *state, sigma schedule.Schedule) {
+			st.gapCandidates(sigma, sigma.Finish(st.tasks)/2)
 			st.slackOf(sigma, 0)
 			st.prof()
 			st.undoDelay(nil)
@@ -310,6 +371,12 @@ func TestAuditCatches(t *testing.T) {
 		{"wrong runendbelow", "reference", func(st *state, sigma schedule.Schedule) {
 			audited(st, "runendbelow", 0, 0, model.Time(0))
 		}},
+		{"wrong gapcands", "full scan says", func(st *state, sigma schedule.Schedule) {
+			audited(st, "gapcands", 0, 0, []int{0}) // nothing finishes by time 0
+		}},
+		{"wrong select", "linear scan picks", func(st *state, sigma schedule.Schedule) {
+			audited(st, "select", -1, 0, 0) // the timing stage visited every task
+		}},
 		{"wrong timevalid", "CheckTimeValidTasks", func(st *state, sigma schedule.Schedule) {
 			st.cur[0] = -1 // starts before time 0
 			audited(st, "timevalid", 0, 0, true)
@@ -348,8 +415,8 @@ func TestAuditReachesEveryQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []string{"visit", "backtrack", "slack", "timevalid", "delay", "undo", "profile",
-		"validmax", "firstabove", "runendabove", "runendbelow", "rejects"}
+	kinds := []string{"visit", "backtrack", "select", "slack", "gapcands", "timevalid", "delay", "undo",
+		"profile", "validmax", "firstabove", "runendabove", "runendbelow", "rejects"}
 	for _, q := range kinds {
 		if checks[q] == 0 {
 			t.Errorf("query %q never audited (checks: %v)", q, checks)

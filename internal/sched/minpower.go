@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -224,39 +227,42 @@ type gapCand struct {
 	finish model.Time
 }
 
-// gapCandidates returns tasks that finish at or before t and have
-// enough slack to be delayed into activity at t, most powerful first
-// (a bigger consumer fills more of the gap), ties broken by later
-// finish then index. The result lives in state-owned buffers reused
-// across calls.
+// cmpGapCand is the candidate selection order: descending power (a
+// bigger consumer fills more of the gap), then latest finish, then
+// index. The index key must be explicit: the index hands candidates
+// over in bucket order, which is not index order.
+func cmpGapCand(a, b gapCand) int {
+	switch {
+	case a.power != b.power:
+		if a.power > b.power {
+			return -1
+		}
+		return 1
+	case a.finish != b.finish:
+		if a.finish > b.finish {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
+// gapCandidates returns the tasks that finish at or before t and have
+// enough slack to be delayed into activity at t, in cmpGapCand order,
+// answered by the stabbing index (gapIndex) rather than a scan of all
+// tasks. The result lives in state-owned buffers reused across calls.
 func (st *state) gapCandidates(sigma schedule.Schedule, t model.Time) []int {
+	st.refreshGapIndex(sigma)
+	ids := st.gi.stab(t, st.gapOrder[:0])
 	cs := st.gapCands[:0]
-	for v, d := range st.delays {
-		fin := sigma.Start[v] + d
-		if fin > t {
-			continue // still running at or after t; delaying cannot help
-		}
-		if st.slackOf(sigma, v) < t-fin+1 {
-			continue // cannot reach t
-		}
-		cs = append(cs, gapCand{v: v, power: st.tasks[v].Power, finish: fin})
+	for _, v := range ids {
+		cs = append(cs, gapCand{v: v, power: st.tasks[v].Power, finish: st.gi.ent[v].fin})
 	}
-	st.gapCands = cs
-	// Selection order: descending power, then latest finish, then index.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cs[j-1], cs[j]
-			if b.power > a.power || (b.power == a.power && b.finish > a.finish) {
-				cs[j-1], cs[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	out := st.gapOrder[:0]
+	slices.SortFunc(cs, cmpGapCand)
+	out := ids[:0]
 	for _, c := range cs {
 		out = append(out, c.v)
 	}
-	st.gapOrder = out
-	return out
+	st.gapCands, st.gapOrder = cs, out
+	return audited(st, "gapcands", 0, t, out)
 }

@@ -106,3 +106,32 @@ func TestAuditDoesNotPerturbTracker(t *testing.T) {
 			aud.Stats, audMats, plain.Stats, plainMats)
 	}
 }
+
+// TestSolveLargeCounterPin pins the work counters of three instances of
+// the benchmark's solve-large corpus (instance i has 500 + 500*i/47
+// tasks and seed i+1; there is no 750-task instance, so the middle one,
+// 755 tasks, stands in). The counters are deterministic, so any change
+// to which moves the min-power stage tries, or in what order, moves
+// them exactly.
+func TestSolveLargeCounterPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solve-large instances skipped in -short mode")
+	}
+	for _, c := range []struct {
+		i    int
+		want sched.Stats
+	}{
+		{0, sched.Stats{SpikeRounds: 9, Scans: 3, Moves: 71, Rejected: 2253}},
+		{24, sched.Stats{SpikeRounds: 2, Scans: 3, Moves: 184, Rejected: 3183}},
+		{47, sched.Stats{SpikeRounds: 5, Scans: 3, Moves: 65, Rejected: 12565}},
+	} {
+		n := 500 + 500*c.i/47
+		res, err := sched.MinPower(benchkit.Generate(n, int64(c.i+1)), benchkit.Options(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats != c.want {
+			t.Errorf("instance %d (%d tasks): stats %#v, want %#v", c.i, n, res.Stats, c.want)
+		}
+	}
+}

@@ -568,6 +568,10 @@ type state struct {
 	tr       *power.Tracker
 	slackVal []model.Time
 	slackOK  []bool
+	// gi indexes the tasks by finish time and slack reach for the
+	// min-power stage's candidate query; the slack cache's invalidation
+	// feeds it (dirtySlack, dirtySlackAll).
+	gi gapIndex
 
 	// cur is the working longest-path solution — one flat bank of
 	// length g.N() that every stage mutates in place. The task prefix
@@ -599,6 +603,7 @@ type state struct {
 	// not need to clear it.
 	dist      []int         // timing search's live longest-path solution
 	visited   []bool        // timing search visit marks
+	heap      taskHeap      // timing search's unvisited tasks by (dist, prio)
 	order     startSorter   // allocation-free sort.Interface for compaction
 	feasBuf   []int         // lock feasibility probe output
 	active    []slackedTask // tasks active at a spike time
@@ -640,6 +645,8 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 	st.cur = make([]int, st.g.N())
 	st.feasBuf = make([]int, st.g.N())
 	st.visited = make([]bool, n)
+	st.heap = newTaskHeap(n)
+	st.gi = newGapIndex(n)
 	st.skipGen = make([]int, n)
 	st.csrPos = make([]int, st.g.N()+1)
 	st.csrCur = make([]int, st.g.N())
@@ -666,9 +673,7 @@ func (st *state) reset(r int) {
 	for i := range st.prio {
 		st.prio[i] = i
 	}
-	for i := range st.slackOK {
-		st.slackOK[i] = false
-	}
+	st.dirtySlackAll()
 	st.timingMark = 0
 	st.undo = st.undo[:0]
 	if st.c.Hetero {
@@ -808,23 +813,27 @@ func (st *state) undoDelay(changed []graph.DistSave) {
 }
 
 // dirtySlack invalidates the cached slack of task w and of every task
-// with an outgoing constraint edge into w.
+// with an outgoing constraint edge into w, and queues each of them for
+// re-placement in the gap-candidate index.
 func (st *state) dirtySlack(w int) {
 	st.slackOK[w] = false
+	st.gi.mark(w)
 	for _, e := range st.g.In(w) {
 		if e.From != st.c.Anchor {
 			st.slackOK[e.From] = false
+			st.gi.mark(e.From)
 		}
 	}
 }
 
-// dirtySlackAll invalidates every cached slack (used at stage and
-// heuristic-combo boundaries, where graph rollbacks remove edges en
-// masse).
+// dirtySlackAll invalidates every cached slack and the whole
+// gap-candidate index (used at restart, stage and heuristic-combo
+// boundaries, where graph rollbacks remove edges en masse).
 func (st *state) dirtySlackAll() {
 	for i := range st.slackOK {
 		st.slackOK[i] = false
 	}
+	st.gi.rebuild = true
 }
 
 // pollCancel is the cooperative cancellation point of every heuristic

@@ -24,11 +24,14 @@ import (
 // overwritten distance entry — so backtracking replays the journal
 // backwards instead of restoring an O(n) per-depth snapshot, and a
 // visit step costs O(cone) in both directions. Candidates are taken in
-// (current ASAP start, priority) order by lazy minimum selection: the
-// distance vector is restored between sibling candidates, so the keys
-// are fixed for the whole loop and "smallest key strictly greater than
-// the last tried key" enumerates exactly the sorted order without
-// materializing or sorting a candidate list.
+// (current ASAP start, priority) order from an indexed heap of the
+// unvisited tasks (taskHeap), re-keyed one journal entry at a time as
+// dist moves: the distance vector is restored between sibling
+// candidates, so the keys are fixed for the whole loop and "smallest
+// key strictly greater than the last tried key" enumerates exactly the
+// sorted order without materializing or sorting a candidate list. A
+// visit step therefore costs O((cone + siblings) log n) plus c's
+// resource members, not O(n).
 func (st *state) timing() (schedule.Schedule, error) {
 	n := st.c.NumTasks()
 	dist := st.dist
@@ -41,38 +44,25 @@ func (st *state) timing() (schedule.Schedule, error) {
 		visited[i] = false
 	}
 	st.undo = st.undo[:0]
+	q := &st.heap
+	q.init(dist, st.prio)
 
 	var visit func(count int) bool
 	visit = func(count int) bool {
 		if count == n {
 			return true
 		}
-		haveLast := false
-		var lastD, lastP int
+		last := -1
 		for {
-			// Lazy min-selection of the next candidate: every unvisited
-			// task with key (dist, prio) strictly greater than the last
-			// tried key, minimal among those. prio is a permutation, so
-			// keys are unique and the enumeration reproduces the sorted
-			// candidate order.
-			c := -1
-			var selD, selP int
-			for v := 0; v < n; v++ {
-				if visited[v] {
-					continue
-				}
-				dv, pv := dist[v], st.prio[v]
-				if haveLast && (dv < lastD || (dv == lastD && pv <= lastP)) {
-					continue
-				}
-				if c < 0 || dv < selD || (dv == selD && pv < selP) {
-					c, selD, selP = v, dv, pv
-				}
-			}
+			// The next candidate: the unvisited task with the smallest
+			// key (dist, prio) strictly greater than the last tried
+			// sibling's. prio is a permutation, so keys are unique and
+			// the enumeration reproduces the sorted candidate order.
+			c := audited(st, "select", last, 0, q.above(last))
 			if c < 0 {
 				return false
 			}
-			haveLast, lastD, lastP = true, selD, selP
+			last = c
 			for _, ci := range st.choiceOrder(count, c, visited, dist) {
 				// Cooperative cancellation: once the poll latches an
 				// error every recursion level bails on its next try, so
@@ -103,8 +93,8 @@ func (st *state) timing() (schedule.Schedule, error) {
 					}
 				}
 				if feasible {
-					for u := 0; u < n; u++ {
-						if u != c && !visited[u] && st.c.Res[u] == res {
+					for _, u := range st.c.ResMembers(res) {
+						if u != c && !visited[u] {
 							if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, c, u, d, st.undo); !feasible {
 								break
 							}
@@ -119,14 +109,24 @@ func (st *state) timing() (schedule.Schedule, error) {
 						st.tasks[c].Power = ch.Power
 					}
 					visited[c] = true
+					q.remove(c)
+					for _, e := range st.undo[um:] {
+						q.set(e.V, dist[e.V])
+					}
 					if visit(count + 1) {
 						return true
 					}
 					visited[c] = false
+					q.push(c, dist[c])
 				}
+				// Restore dist one entry at a time, each with its own heap
+				// fix (an infeasible try never re-keyed the heap, so its
+				// entries are no-ops there).
 				st.g.Rollback(cp)
 				for i := len(st.undo) - 1; i >= um; i-- {
-					dist[st.undo[i].V] = st.undo[i].Old
+					e := st.undo[i]
+					dist[e.V] = e.Old
+					q.set(e.V, e.Old)
 				}
 				st.undo = st.undo[:um]
 				audited(st, "backtrack", c, 0, true)

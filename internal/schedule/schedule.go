@@ -41,6 +41,10 @@ type Compiled struct {
 	// compare these ints instead of the resource strings.
 	Res    []int
 	NumRes int
+	// resTasks lists the tasks of each resource id in ascending index
+	// order: resource r's members are resTasks[resStart[r]:resStart[r+1]].
+	resStart []int
+	resTasks []int
 }
 
 // Compile validates the problem and lowers its constraints to graph
@@ -109,6 +113,20 @@ func Compile(p *model.Problem) (*Compiled, error) {
 		c.Res[i] = id
 	}
 	c.NumRes = len(resID)
+	csr := make([]int, c.NumRes+1+n)
+	c.resStart, c.resTasks = csr[:c.NumRes+1], csr[c.NumRes+1:]
+	for _, r := range c.Res {
+		c.resStart[r+1]++
+	}
+	for r := 0; r < c.NumRes; r++ {
+		c.resStart[r+1] += c.resStart[r]
+	}
+	for i, r := range c.Res { // resStart[r] is r's fill cursor here
+		c.resTasks[c.resStart[r]] = i
+		c.resStart[r]++
+	}
+	copy(c.resStart[1:], c.resStart[:c.NumRes])
+	c.resStart[0] = 0
 	c.Hetero = p.Heterogeneous()
 	c.Choices = make([][]model.TaskChoice, n)
 	for i := range c.Choices {
@@ -119,6 +137,10 @@ func Compile(p *model.Problem) (*Compiled, error) {
 
 // NumTasks returns the number of real (non-anchor) tasks.
 func (c *Compiled) NumTasks() int { return len(c.Prob.Tasks) }
+
+// ResMembers returns the tasks of resource id r in ascending index
+// order. The slice is shared: callers must not modify it.
+func (c *Compiled) ResMembers(r int) []int { return c.resTasks[c.resStart[r]:c.resStart[r+1]] }
 
 // Schedule assigns a start time to every task of a problem. Start is
 // indexed by task position in Problem.Tasks.
