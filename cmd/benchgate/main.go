@@ -26,17 +26,13 @@
 // Beyond the base-vs-head regression gates, -min-speedup (with
 // -speedup-slow / -speedup-fast) asserts an absolute property of the
 // head run alone: the fast variant of a benchmark pair must beat the
-// slow one by at least the given ratio — how CI locks in that the
-// pooled campaign engine actually scales. -min-speedup-per-cpu states
-// that ratio relative to the machine instead: per-CPU × min(CPUs, 8),
-// 8 being the pool width of the fast variant, so at 0.75 per CPU the
-// pool must reach 6× on an 8-CPU box, 3× on 4 CPUs and 1.5× on 2, and
-// the gate is enforced on every machine. With the fixed -min-speedup,
-// -min-cpus keeps the gate
-// advisory on machines too narrow to demonstrate parallelism, but never
-// silent: an unenforced gate reports "skipped": true in the JSON verdict
-// and prints "SKIPPED: speedup gate needs N CPUs, have M" to stderr,
-// which CI turns into a warning annotation.
+// slow one by a ratio relative to the machine — how CI locks in that
+// the pooled campaign engine actually scales. -min-speedup is the ratio
+// per usable CPU: the bound is -min-speedup × min(CPUs, width), where
+// width is the fast variant's parallel width, read from its name's
+// trailing -N (pooled-8 → 8; no suffix means no cap). At 0.75 the pool
+// must reach 6× on an 8-CPU box, 3× on 4 CPUs and 1.5× on 2, so the
+// gate is enforced on every machine.
 //
 // -json replaces the table with a machine-readable report on stdout
 // (the exit code is unchanged), for archiving the verdict as a CI
@@ -63,9 +59,7 @@ func main() {
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0.10, "maximum allowed allocs/op regression (0.10 = +10%); negative disables the allocation gate")
 	speedupSlow := flag.String("speedup-slow", "", "slow-variant benchmark name (cpu suffix stripped) for the head speedup gate")
 	speedupFast := flag.String("speedup-fast", "", "fast-variant benchmark name for the head speedup gate")
-	minSpeedup := flag.Float64("min-speedup", 0, "minimum head ns/op ratio slow/fast (0 disables the speedup gate)")
-	minCPUs := flag.Int("min-cpus", 0, "enforce -min-speedup only on machines with at least this many CPUs (the ratio is meaningless on boxes too narrow to parallelize)")
-	perCPU := flag.Float64("min-speedup-per-cpu", 0, "minimum head ns/op ratio slow/fast per usable CPU: the bound is this times min(CPUs, 8), enforced on every machine (replaces -min-speedup and -min-cpus)")
+	minSpeedup := flag.Float64("min-speedup", 0, "minimum head ns/op ratio slow/fast per usable CPU: the bound is this times min(CPUs, the fast variant's trailing -N) (0 disables the speedup gate)")
 	jsonOut := flag.Bool("json", false, "emit the verdicts as JSON on stdout instead of a table")
 	flag.Parse()
 	if *baseFile == "" || *headFile == "" {
@@ -89,23 +83,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *perCPU > 0 {
-		if *minSpeedup > 0 || *minCPUs > 0 {
-			fmt.Fprintln(os.Stderr, "benchgate: -min-speedup-per-cpu takes the place of -min-speedup and -min-cpus")
-			os.Exit(2)
-		}
-		*minSpeedup = scaledMinSpeedup(*perCPU, runtime.NumCPU(), poolWidth)
-	}
-
 	verdicts, failed := gate(base, head, re, *maxRegress, *maxAllocRegress)
 	var sv *speedupVerdict
 	if *minSpeedup > 0 {
-		sv = speedupGate(head, *speedupSlow, *speedupFast, *minSpeedup, runtime.NumCPU(), *minCPUs)
+		sv = speedupGate(head, *speedupSlow, *speedupFast, *minSpeedup, runtime.NumCPU())
 		if sv.Failed {
 			failed = true
-		}
-		if sv.Skipped {
-			fmt.Fprintln(os.Stderr, sv.skipLine())
 		}
 	}
 	if *jsonOut {
@@ -161,48 +144,40 @@ type sample struct {
 
 // speedupVerdict is the head-only parallel-speedup gate's outcome: the
 // fast variant of a benchmark pair must beat the slow one by at least
-// -min-speedup. Unlike the regression gates it compares head against
-// head, so it locks an absolute property of the PR (the pooled
-// campaign actually scales), not a delta against the base.
+// Min = PerCPU × min(CPUs, width). Unlike the regression gates it
+// compares head against head, so it locks an absolute property of the
+// PR (the pooled campaign actually scales), not a delta against the
+// base.
 type speedupVerdict struct {
-	Slow     string  `json:"slow"`
-	Fast     string  `json:"fast"`
-	Min      float64 `json:"min"`
-	Ratio    float64 `json:"ratio,omitempty"`
-	CPUs     int     `json:"cpus"`
-	MinCPUs  int     `json:"min_cpus"`
-	Enforced bool    `json:"enforced"`
-	Skipped  bool    `json:"skipped"`
-	Failed   bool    `json:"failed"`
-	Note     string  `json:"note"`
+	Slow   string  `json:"slow"`
+	Fast   string  `json:"fast"`
+	PerCPU float64 `json:"per_cpu"`
+	CPUs   int     `json:"cpus"`
+	Min    float64 `json:"min"`
+	Ratio  float64 `json:"ratio,omitempty"`
+	Failed bool    `json:"failed"`
+	Note   string  `json:"note"`
 }
 
-// skipLine is the stderr notice of a measured but unenforced speedup
-// gate.
-func (sv *speedupVerdict) skipLine() string {
-	return fmt.Sprintf("SKIPPED: speedup gate needs %d CPUs, have %d", sv.MinCPUs, sv.CPUs)
+// minSpeedupFor is the speedup bound relative to the machine: perCPU
+// for each CPU the fast variant can use, which is at most its parallel
+// width — the trailing -N of its name (BenchmarkCampaign/pooled-8 → 8).
+// A name without one is not capped.
+func minSpeedupFor(perCPU float64, cpus int, fast string) float64 {
+	if m := cpuSuffix.FindString(fast); m != "" {
+		if width, err := strconv.Atoi(m[1:]); err == nil && width > 0 {
+			cpus = min(cpus, width)
+		}
+	}
+	return perCPU * float64(cpus)
 }
 
-// poolWidth is the parallel width of the speedup pair's fast variant
-// (BenchmarkCampaign/pooled-8): CPUs beyond it add nothing to its
-// speedup.
-const poolWidth = 8
-
-// scaledMinSpeedup is the speedup bound relative to the machine:
-// perCPU for each CPU the fast variant can use, which is at most its
-// parallel width.
-func scaledMinSpeedup(perCPU float64, cpus, width int) float64 {
-	return perCPU * float64(min(cpus, width))
-}
-
-// speedupGate checks head[slow].ns / head[fast].ns >= min. On machines
-// with fewer than minCPUs CPUs the gate records the ratio but does not
-// enforce it — it marks the verdict skipped instead: a 1- or 2-core box
-// cannot demonstrate pool scaling, and failing there would make the gate
-// unrunnable locally. Missing benchmarks fail even unenforced — the pair
+// speedupGate checks head[slow].ns / head[fast].ns against the bound
+// minSpeedupFor(perCPU, cpus, fast). Missing benchmarks fail: the pair
 // must exist so the gate cannot be disabled by deleting its inputs.
-func speedupGate(head map[string]sample, slow, fast string, min float64, cpus, minCPUs int) *speedupVerdict {
-	sv := &speedupVerdict{Slow: slow, Fast: fast, Min: min, CPUs: cpus, MinCPUs: minCPUs, Enforced: cpus >= minCPUs}
+func speedupGate(head map[string]sample, slow, fast string, perCPU float64, cpus int) *speedupVerdict {
+	bound := minSpeedupFor(perCPU, cpus, fast)
+	sv := &speedupVerdict{Slow: slow, Fast: fast, PerCPU: perCPU, CPUs: cpus, Min: bound}
 	s, okS := head[slow]
 	f, okF := head[fast]
 	switch {
@@ -214,16 +189,11 @@ func speedupGate(head map[string]sample, slow, fast string, min float64, cpus, m
 		sv.Note = fmt.Sprintf("speedup gate: head output is missing %q or %q", slow, fast)
 	default:
 		sv.Ratio = s.ns / f.ns
-		switch {
-		case !sv.Enforced:
-			sv.Skipped = true
-			sv.Note = fmt.Sprintf("speedup %s/%s = %.2fx (want >= %.2fx; not enforced, %d CPUs < %d)",
-				slow, fast, sv.Ratio, min, cpus, minCPUs)
-		case sv.Ratio < min:
+		if sv.Ratio < bound {
 			sv.Failed = true
-			sv.Note = fmt.Sprintf("SPEEDUP FAIL: %s/%s = %.2fx, want >= %.2fx", slow, fast, sv.Ratio, min)
-		default:
-			sv.Note = fmt.Sprintf("speedup %s/%s = %.2fx (>= %.2fx)", slow, fast, sv.Ratio, min)
+			sv.Note = fmt.Sprintf("SPEEDUP FAIL: %s/%s = %.2fx, want >= %.2fx (%.2f per CPU, %d CPUs)", slow, fast, sv.Ratio, bound, perCPU, cpus)
+		} else {
+			sv.Note = fmt.Sprintf("speedup %s/%s = %.2fx (>= %.2fx: %.2f per CPU, %d CPUs)", slow, fast, sv.Ratio, bound, perCPU, cpus)
 		}
 	}
 	return sv

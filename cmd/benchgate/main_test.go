@@ -123,88 +123,78 @@ func TestSpeedupGate(t *testing.T) {
 	}
 	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
 
-	// 3.33x >= 3x on a wide-enough machine passes.
-	sv := speedupGate(head, slow, fast, 3, 8, 4)
-	if sv.Failed || !sv.Enforced || sv.Ratio < 3.3 || sv.Ratio > 3.4 {
+	// 3.33x >= 0.75 x 4 passes on a 4-CPU machine.
+	sv := speedupGate(head, slow, fast, 0.75, 4)
+	if sv.Failed || sv.Min != 3 || sv.Ratio < 3.3 || sv.Ratio > 3.4 {
 		t.Fatalf("passing speedup failed: %+v", sv)
 	}
 
-	// Below the ratio fails when enforced...
+	// Below the bound fails.
 	head[fast] = sample{ns: 1500, allocs: 100}
-	if sv := speedupGate(head, slow, fast, 3, 8, 4); !sv.Failed {
+	if sv := speedupGate(head, slow, fast, 0.75, 4); !sv.Failed {
 		t.Fatalf("2x speedup passed a 3x gate: %+v", sv)
 	}
-	// ...but is recorded without failing on a machine too narrow to
-	// demonstrate pool scaling.
-	if sv := speedupGate(head, slow, fast, 3, 2, 4); sv.Failed || sv.Enforced || !sv.Skipped || sv.Ratio != 2 {
-		t.Fatalf("narrow-machine speedup not skipped cleanly: %+v", sv)
-	}
 
-	// A missing benchmark fails even unenforced: the gate cannot be
-	// disabled by deleting its inputs.
+	// A missing benchmark fails: the gate cannot be disabled by
+	// deleting its inputs.
 	delete(head, fast)
-	if sv := speedupGate(head, slow, fast, 3, 2, 4); !sv.Failed {
+	if sv := speedupGate(head, slow, fast, 0.75, 2); !sv.Failed {
 		t.Fatalf("missing fast benchmark passed: %+v", sv)
 	}
 	// Unset names fail loudly rather than gating nothing.
-	if sv := speedupGate(head, "", "", 3, 8, 4); !sv.Failed {
+	if sv := speedupGate(head, "", "", 0.75, 8); !sv.Failed {
 		t.Fatalf("empty pair passed: %+v", sv)
 	}
 }
 
-// TestSpeedupGateSkipIsLoud checks an unenforced speedup gate is never
-// a silent pass: the verdict is marked skipped (in its JSON form too)
-// and carries the stderr notice CI turns into a warning annotation,
-// while an enforced gate is not marked skipped.
+// TestSpeedupGateSkipIsLoud checks the gate never skips: on a machine
+// too narrow for the old fixed 3x bound it is enforced at its scaled
+// bound — 1.72x passes 1.5x on 2 CPUs, 1.4x fails it — and the JSON
+// verdict carries the CPU count and the bound it applied.
 func TestSpeedupGateSkipIsLoud(t *testing.T) {
-	head := map[string]sample{
-		"BenchmarkCampaign/sequential": {ns: 3000},
-		"BenchmarkCampaign/pooled-8":   {ns: 900},
-	}
-	sv := speedupGate(head, "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8", 3, 2, 4)
-	if !sv.Skipped || sv.Failed {
-		t.Fatalf("unenforced gate not marked skipped: %+v", sv)
-	}
-	if got, want := sv.skipLine(), "SKIPPED: speedup gate needs 4 CPUs, have 2"; got != want {
-		t.Fatalf("skip notice %q, want %q", got, want)
-	}
-	data, err := json.Marshal(sv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"skipped":true`) {
-		t.Fatalf("JSON verdict does not report the skip: %s", data)
-	}
-	if sv := speedupGate(head, "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8", 3, 8, 4); sv.Skipped {
-		t.Fatalf("enforced gate marked skipped: %+v", sv)
-	}
-}
-
-// TestScaledMinSpeedup checks the machine-relative bound: 0.75 per CPU
-// up to the pool width of 8, so a 4-CPU runner still needs 3x (the
-// fixed bound it replaces), a 2-CPU runner 1.5x, and CPUs past the
-// width add nothing.
-func TestScaledMinSpeedup(t *testing.T) {
-	for _, c := range []struct {
-		cpus int
-		want float64
-	}{{1, 0.75}, {2, 1.5}, {4, 3}, {8, 6}, {64, 6}} {
-		if got := scaledMinSpeedup(0.75, c.cpus, poolWidth); got != c.want {
-			t.Errorf("%d CPUs: bound %v, want %v", c.cpus, got, c.want)
-		}
-	}
-	// The scaled bound is enforced on a 2-CPU box: 1.72x passes 1.5x,
-	// 1.4x fails it.
 	head := map[string]sample{
 		"BenchmarkCampaign/sequential": {ns: 1720},
 		"BenchmarkCampaign/pooled-8":   {ns: 1000},
 	}
 	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
-	if sv := speedupGate(head, slow, fast, scaledMinSpeedup(0.75, 2, poolWidth), 2, 0); sv.Failed || !sv.Enforced || sv.Skipped {
+	sv := speedupGate(head, slow, fast, 0.75, 2)
+	if sv.Failed || sv.Min != 1.5 {
 		t.Fatalf("1.72x against the 2-CPU bound: %+v", sv)
 	}
+	data, err := json.Marshal(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"cpus":2`) || !strings.Contains(string(data), `"min":1.5`) {
+		t.Fatalf("JSON verdict does not report the scaled bound: %s", data)
+	}
 	head[fast] = sample{ns: 1230}
-	if sv := speedupGate(head, slow, fast, scaledMinSpeedup(0.75, 2, poolWidth), 2, 0); !sv.Failed {
+	if sv := speedupGate(head, slow, fast, 0.75, 2); !sv.Failed {
 		t.Fatalf("1.4x passed the 2-CPU bound of 1.5x: %+v", sv)
+	}
+}
+
+// TestMinSpeedupFor checks the machine-relative bound: 0.75 per CPU up
+// to the fast variant's width of 8 (its name's trailing -8), so a 4-CPU
+// runner still needs 3x (the fixed bound this replaced), a 2-CPU runner
+// 1.5x, and CPUs past the width add nothing; a name without a width is
+// not capped.
+func TestMinSpeedupFor(t *testing.T) {
+	for _, c := range []struct {
+		cpus int
+		fast string
+		want float64
+	}{
+		{1, "BenchmarkCampaign/pooled-8", 0.75},
+		{2, "BenchmarkCampaign/pooled-8", 1.5},
+		{4, "BenchmarkCampaign/pooled-8", 3},
+		{8, "BenchmarkCampaign/pooled-8", 6},
+		{64, "BenchmarkCampaign/pooled-8", 6},
+		{64, "BenchmarkCampaign/pooled-2", 1.5},
+		{16, "BenchmarkCampaign/pooled", 12},
+	} {
+		if got := minSpeedupFor(0.75, c.cpus, c.fast); got != c.want {
+			t.Errorf("%s on %d CPUs: bound %v, want %v", c.fast, c.cpus, got, c.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/model"
 	"repro/internal/schedule"
@@ -100,126 +99,15 @@ func UnboundedPortfolio(p *model.Problem, opts Options) (*Result, []model.Time, 
 
 // TimingRestart runs restart r's timing stage alone on a fresh state.
 func TimingRestart(p *model.Problem, opts Options, r int) (*Result, error) {
-	return timingRestart(p, opts, r, (*state).timing)
-}
-
-// LinearTimingRestart is TimingRestart under the timing search's
-// reference selection: a lazy minimum scan of all tasks per step and a
-// scan of all tasks for c's resource mates, the O(n) loops the
-// candidate heap and the resource member lists replace.
-func LinearTimingRestart(p *model.Problem, opts Options, r int) (*Result, error) {
-	return timingRestart(p, opts, r, (*state).linearTiming)
-}
-
-func timingRestart(p *model.Problem, opts Options, r int, run func(*state) (schedule.Schedule, error)) (*Result, error) {
 	c, err := schedule.Compile(p)
 	if err != nil {
 		return nil, err
 	}
 	st := newState(context.Background(), c, opts, nil)
 	st.reset(r)
-	sigma, err := run(st)
+	sigma, err := st.timing()
 	if err != nil {
 		return nil, err
 	}
 	return st.result(sigma), nil
-}
-
-// linearTiming is the timing search with linear candidate selection.
-func (st *state) linearTiming() (schedule.Schedule, error) {
-	n := st.c.NumTasks()
-	dist := st.dist
-	if !st.g.LongestFromInto(dist, st.c.Anchor) {
-		return schedule.Schedule{}, fmt.Errorf("%w: timing constraints contain a positive cycle", ErrInfeasible)
-	}
-	visited := st.visited
-	for i := range visited {
-		visited[i] = false
-	}
-	st.undo = st.undo[:0]
-
-	var visit func(count int) bool
-	visit = func(count int) bool {
-		if count == n {
-			return true
-		}
-		haveLast := false
-		var lastD, lastP int
-		for {
-			c := -1
-			var selD, selP int
-			for v := 0; v < n; v++ {
-				if visited[v] {
-					continue
-				}
-				dv, pv := dist[v], st.prio[v]
-				if haveLast && (dv < lastD || (dv == lastD && pv <= lastP)) {
-					continue
-				}
-				if c < 0 || dv < selD || (dv == selD && pv < selP) {
-					c, selD, selP = v, dv, pv
-				}
-			}
-			if c < 0 {
-				return false
-			}
-			haveLast, lastD, lastP = true, selD, selP
-			for _, ci := range st.choiceOrder(count, c, visited, dist) {
-				ch := st.c.Choices[c][ci]
-				cp := st.g.Mark()
-				um := len(st.undo)
-				res := st.c.Res[c]
-				feasible := true
-				if ch.Machine >= 0 {
-					for u := 0; u < n; u++ {
-						if visited[u] && st.assign[u].Machine == ch.Machine && st.c.Res[u] != res {
-							if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, u, c, st.tasks[u].Delay, st.undo); !feasible {
-								break
-							}
-						}
-					}
-				}
-				if feasible {
-					for u := 0; u < n; u++ {
-						if u != c && !visited[u] && st.c.Res[u] == res {
-							if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, c, u, ch.Delay, st.undo); !feasible {
-								break
-							}
-						}
-					}
-				}
-				if feasible {
-					if st.c.Hetero {
-						st.assign[c] = model.Choice{Machine: ch.Machine, Level: ch.Level}
-						st.tasks[c].Delay = ch.Delay
-						st.tasks[c].Power = ch.Power
-					}
-					visited[c] = true
-					if visit(count + 1) {
-						return true
-					}
-					visited[c] = false
-				}
-				st.g.Rollback(cp)
-				for i := len(st.undo) - 1; i >= um; i-- {
-					dist[st.undo[i].V] = st.undo[i].Old
-				}
-				st.undo = st.undo[:um]
-				st.st.Backtracks++
-				if st.st.Backtracks > st.opts.MaxBacktracks {
-					return false
-				}
-			}
-		}
-	}
-	if !visit(0) {
-		if st.st.Backtracks > st.opts.MaxBacktracks {
-			return schedule.Schedule{}, fmt.Errorf("sched: timing search exceeded %d backtracks", st.opts.MaxBacktracks)
-		}
-		return schedule.Schedule{}, fmt.Errorf("%w: no serialization order yields a time-valid schedule", ErrInfeasible)
-	}
-	if !st.g.LongestFromInto(st.cur, st.c.Anchor) {
-		return schedule.Schedule{}, fmt.Errorf("%w: final graph has a positive cycle", ErrInfeasible)
-	}
-	return schedule.Schedule{Start: st.cur[:n:n]}, nil
 }

@@ -10,11 +10,12 @@ import (
 // gapIndex answers the min-power stage's candidate query as interval
 // stabbing. Task v can be delayed into activity at gap time t exactly
 // when fin_v <= t <= reach_v, with reach_v = fin_v + slack_v - 1 (+inf
-// for InfiniteSlack). Tasks are bucketed by finish slot (fin >> shift)
-// in intrusive doubly linked lists, under a max tree over the slots
-// that holds each slot's largest reach. A query at t descends only into
-// slots at or before t's whose subtree reach is >= t, so it costs
-// O((answer slots + 1) log slots) plus their buckets, not O(n).
+// for InfiniteSlack). Tasks are bucketed by finish slot (fin >> shift,
+// the last slot also taking every later finish) in intrusive doubly
+// linked lists, under a max tree over the slots that holds each slot's
+// largest reach. A query at t descends only into slots at or before
+// t's whose subtree reach is >= t, so it costs O((answer slots + 1)
+// log slots) plus their buckets, not O(n).
 //
 // Invariant, at every query: each task that is not queued is placed in
 // the slot of its current finish with the reach of its current slack.
@@ -44,10 +45,6 @@ type gapEntry struct {
 
 // noReach is the max tree's empty value.
 const noReach = model.Time(math.MinInt)
-
-// minSlots is the slot budget of a small problem: a rebuild coarsens
-// finish times (raises shift) until max(minSlots, 2n) slots cover them.
-const minSlots = 64
 
 func newGapIndex(n int) gapIndex {
 	return gapIndex{ent: make([]gapEntry, n), queue: make([]int, 0, n), rebuild: true}
@@ -98,19 +95,27 @@ func (st *state) refreshGapIndex(sigma schedule.Schedule) {
 }
 
 // build sizes the tree for finish times up to maxFin and links every
-// task at its entry's fin and reach.
+// task at its entry's fin and reach. The shift coarsens finish times
+// until at most 2n slots cover them, so a rebuild costs O(n) however
+// long the schedule, and a problem of a few tasks gets a tree of a few
+// slots.
 func (x *gapIndex) build(maxFin model.Time) {
-	slots := max(minSlots, 2*len(x.ent))
+	slots := max(2*len(x.ent), 1)
 	x.shift = 0
 	for maxFin>>x.shift >= slots {
 		x.shift++
 	}
-	x.resize(x.slotOf(maxFin) + 1)
+	size := 1
+	for size <= int(maxFin>>x.shift) {
+		size *= 2
+	}
+	if cap(x.head) < size {
+		x.head, x.tree = make([]int, size), make([]model.Time, 2*size)
+	}
+	x.head, x.tree, x.size = x.head[:size], x.tree[:2*size], size
 	for s := range x.head {
 		x.head[s] = -1
-	}
-	for i := range x.tree {
-		x.tree[i] = noReach
+		x.tree[size+s] = noReach
 	}
 	for v := range x.ent {
 		e := &x.ent[v]
@@ -119,44 +124,20 @@ func (x *gapIndex) build(maxFin model.Time) {
 			x.tree[leaf] = e.reach
 		}
 	}
-	x.pull()
-}
-
-// resize makes room for at least slots slots, keeping the buckets and
-// the tree's leaves; the caller recomputes the inner nodes.
-func (x *gapIndex) resize(slots int) {
-	size := max(x.size, 1)
-	for size < slots {
-		size *= 2
-	}
-	if size == x.size {
-		return
-	}
-	head := make([]int, size)
-	tree := make([]model.Time, 2*size)
-	for s := range head {
-		head[s] = -1
-		tree[size+s] = noReach
-	}
-	copy(head, x.head)
-	if x.size > 0 {
-		copy(tree[size:], x.tree[x.size:])
-	}
-	x.head, x.tree, x.size = head, tree, size
-}
-
-// pull recomputes every inner node of the tree from the leaves.
-func (x *gapIndex) pull() {
 	for i := x.size - 1; i >= 1; i-- {
 		x.tree[i] = max(x.tree[2*i], x.tree[2*i+1])
 	}
 }
 
+// slotOf is the slot of finish time fin. Finishes past the last slot
+// share it: the slot's leaf reach and the fin <= t filter in stabNode
+// keep the answers exact, and the rebuild at each stage and combo start
+// sizes the tree for the schedule's finish times.
 func (x *gapIndex) slotOf(fin model.Time) int {
 	if fin < 0 {
 		return 0
 	}
-	return int(fin >> x.shift)
+	return min(int(fin>>x.shift), x.size-1)
 }
 
 // place moves task v to the slot of fin with the given reach.
@@ -168,10 +149,6 @@ func (x *gapIndex) place(v int, fin, reach model.Time) {
 		return
 	}
 	x.unlink(v)
-	if s >= x.size {
-		x.resize(s + 1)
-		x.pull()
-	}
 	e.fin, e.reach = fin, reach
 	x.link(v, s)
 	for i := x.size + s; i >= 1 && x.tree[i] < reach; i /= 2 {
@@ -232,7 +209,7 @@ func (x *gapIndex) stab(t model.Time, out []int) []int {
 	if t < 0 || x.size == 0 {
 		return out
 	}
-	return x.stabNode(1, 0, x.size, min(x.slotOf(t), x.size-1), t, out)
+	return x.stabNode(1, 0, x.size, x.slotOf(t), t, out)
 }
 
 // stabNode visits node, which covers slots [lo, lo+width), restricted

@@ -28,8 +28,9 @@ func stabBrute(fin, reach []model.Time, t model.Time) []int {
 // TestGapIndexStabRandom interleaves rebuilds, single-task placements
 // and stabbing queries on the bare index and checks every answer
 // against brute force. Placements move tasks between slots, push
-// finishes past the tree's size (slot growth, also under a coarse
-// shift) and saturate InfiniteSlack reaches to +inf.
+// finishes past the last slot the rebuild sized for (they share that
+// slot, also under a coarse shift) and saturate InfiniteSlack reaches
+// to +inf.
 func TestGapIndexStabRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -97,7 +98,7 @@ func TestGapIndexStabRandom(t *testing.T) {
 // invalidations, with gapCandidates checked against the full scan at
 // random gap times in between.
 func TestGapIndexFollowsMovesRandom(t *testing.T) {
-	answers, grown := 0, 0
+	answers := 0
 	for seed := int64(0); seed < 30; seed++ {
 		c, err := schedule.Compile(genProblem(seed))
 		if err != nil {
@@ -123,8 +124,8 @@ func TestGapIndexFollowsMovesRandom(t *testing.T) {
 			case r < 6:
 				v := rng.Intn(n)
 				cp := st.g.Mark()
-				// Up to four times the horizon: finishes outgrow the
-				// slots the last rebuild sized for.
+				// Up to four times the horizon: some finishes land past
+				// the last slot the rebuild sized for.
 				changed, ok := st.delay(v, sigma.Start[v]+1+rng.Intn(int(3*horizon)+1))
 				if ok && rng.Intn(2) == 0 {
 					st.g.Rollback(cp)
@@ -132,11 +133,7 @@ func TestGapIndexFollowsMovesRandom(t *testing.T) {
 				}
 			default:
 				at := model.Time(rng.Intn(int(4*horizon) + 1))
-				size, rebuild := st.gi.size, st.gi.rebuild
 				got := slices.Clone(st.gapCandidates(sigma, at))
-				if !rebuild && st.gi.size > size {
-					grown++
-				}
 				if want := gapCandidatesScan(st, sigma, at); !slices.Equal(got, want) {
 					t.Fatalf("seed %d op %d: candidates at %d are %v, full scan %v", seed, op, at, got, want)
 				}
@@ -146,8 +143,8 @@ func TestGapIndexFollowsMovesRandom(t *testing.T) {
 			}
 		}
 	}
-	if answers < 100 || grown == 0 {
-		t.Fatalf("too weak: %d non-empty answers, %d slot growths", answers, grown)
+	if answers < 100 {
+		t.Fatalf("too weak: %d non-empty answers", answers)
 	}
 }
 

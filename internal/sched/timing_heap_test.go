@@ -3,17 +3,22 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/schedule"
 )
 
-// TestTimingHeapMatchesLinearSelection runs the timing search with its
-// candidate heap and with the linear reference selection over problems
-// that backtrack — backtrackProblemN at several sizes and restarts,
-// with the default budget and with budgets that run out — plus random
-// degenerate and heterogeneous problems. Schedules, backtrack counts
-// and errors must agree exactly.
+// TestTimingHeapMatchesLinearSelection runs the timing search under
+// the audit, whose "select" query checks every heap pick against
+// selectScan — the linear (dist, prio) minimum over the unvisited tasks
+// above the depth's last tried sibling, the scan the heap replaces —
+// over problems that backtrack: backtrackProblemN at several sizes and
+// restarts, with the default budget and with budgets that run out, plus
+// random deadline, degenerate and heterogeneous problems. The audited
+// run must also equal the unaudited one: schedule, backtrack count and
+// error.
 func TestTimingHeapMatchesLinearSelection(t *testing.T) {
 	type tc struct {
 		name string
@@ -37,21 +42,26 @@ func TestTimingHeapMatchesLinearSelection(t *testing.T) {
 		cases = append(cases, tc{fmt.Sprintf("gen%d", seed), genProblem(seed), Options{}})
 		cases = append(cases, tc{fmt.Sprintf("hetero%d", seed), genHeteroProblem(seed), Options{}})
 	}
-	ran, backtracked, exhausted := 0, 0, 0
+	selects, backtracked, exhausted := 0, 0, 0
 	for _, c := range cases {
 		for r := 0; r < 4; r++ {
-			got, gotErr := TimingRestart(c.p.Clone(), c.opts, r)
-			want, wantErr := LinearTimingRestart(c.p.Clone(), c.opts, r)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s restart %d: heap error %v, linear error %v", c.name, r, gotErr, wantErr)
+			want, wantErr := TimingRestart(c.p.Clone(), c.opts, r)
+			var got *Result
+			var gotErr error
+			checks, auditErr := Audit(func() { got, gotErr = TimingRestart(c.p.Clone(), c.opts, r) })
+			if auditErr != nil {
+				t.Fatalf("%s restart %d: %v", c.name, r, auditErr)
 			}
-			ran++
+			selects += checks["select"]
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s restart %d: audited error %v, unaudited %v", c.name, r, gotErr, wantErr)
+			}
 			if gotErr != nil {
 				exhausted++
 				continue
 			}
 			if !got.Schedule.Equal(want.Schedule) || got.Stats.Backtracks != want.Stats.Backtracks {
-				t.Fatalf("%s restart %d: heap %v (%d backtracks), linear %v (%d backtracks)", c.name, r,
+				t.Fatalf("%s restart %d: audited %v (%d backtracks), unaudited %v (%d backtracks)", c.name, r,
 					got.Schedule.Start, got.Stats.Backtracks, want.Schedule.Start, want.Stats.Backtracks)
 			}
 			if got.Stats.Backtracks > 0 {
@@ -59,8 +69,36 @@ func TestTimingHeapMatchesLinearSelection(t *testing.T) {
 			}
 		}
 	}
-	if backtracked < 20 || exhausted == 0 {
-		t.Fatalf("too weak: %d runs, %d backtracked, %d ran out of budget", ran, backtracked, exhausted)
+	if backtracked < 20 || exhausted == 0 || selects == 0 {
+		t.Fatalf("too weak: %d backtracked, %d ran out of budget, %d selections checked", backtracked, exhausted, selects)
+	}
+}
+
+// TestResMembersAscending checks the timing search's same-resource
+// edge loop adds its edges in the order the scan over all tasks did:
+// each resource's member list is exactly the tasks with that resource,
+// in ascending index order.
+func TestResMembersAscending(t *testing.T) {
+	probs := []*model.Problem{backtrackProblemN(5)}
+	for seed := int64(0); seed < 20; seed++ {
+		probs = append(probs, genProblem(seed), genHeteroProblem(seed), genDeadlineProblem(seed))
+	}
+	for _, p := range probs {
+		c, err := schedule.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < c.NumRes; r++ {
+			var want []int
+			for u := range c.Res {
+				if c.Res[u] == r {
+					want = append(want, u)
+				}
+			}
+			if got := c.ResMembers(r); !slices.Equal(got, want) {
+				t.Fatalf("%s: resource %d members %v, scan %v", p.Name, r, got, want)
+			}
+		}
 	}
 }
 
