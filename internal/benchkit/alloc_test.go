@@ -34,15 +34,16 @@ func TestPipelineAllocBudget(t *testing.T) {
 
 // TestCampaignAllocBudget pins the streaming campaign engine's
 // constant-memory property the same way: a warm-cache 16-run campaign
-// (schedule cache populated, per-worker scratch in steady state) must
-// stay within a fixed allocation budget. Measured steady state is
-// ~1,344 allocs per campaign (~84 per run — reducer folding, fault
-// draws, and replay bookkeeping only); the budget is ~25% above that
-// and two orders of magnitude below the pre-streaming engine
+// (service L1 populated, per-worker scratch in steady state) must stay
+// within a fixed allocation budget. Measured steady state is ~1,350
+// allocs per campaign (~85 per run: each run's faulted environment,
+// and for each replan the residual problem, its fingerprint and cache
+// key, the L1 lookup and the verifier check); the budget is ~25% above
+// that and over an order of magnitude below the pre-streaming engine
 // (~37k allocs for the same campaign), so one accidental per-run
-// allocation on the hot loop — a cloned problem, a fresh trace, an
-// unmemoized fingerprint — fails here before the CI bench gate sees
-// it.
+// allocation on the hot loop — a cloned nominal problem, a replay
+// trace, a fault draw into fresh maps — fails here before the CI bench
+// gate sees it.
 func TestCampaignAllocBudget(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	c := sim.Campaign{

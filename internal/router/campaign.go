@@ -133,7 +133,8 @@ func splitCampaign(body []byte) (req web.CampaignRequest, key string, shardable 
 }
 
 // sendCampaignChunk posts one sub-range of the campaign to backend b
-// with Partial=true and returns the rebuilt reducer.
+// with Partial=true and returns the rebuilt reducer, once it validates
+// and folds exactly hi - lo runs.
 func (rt *Router) sendCampaignChunk(ctx context.Context, b int, req web.CampaignRequest, lo, hi int) (*sim.Reducer, error) {
 	sub := web.CampaignRequest{
 		Spec:    req.Spec,
@@ -165,5 +166,15 @@ func (rt *Router) sendCampaignChunk(ctx context.Context, b int, req web.Campaign
 	if part.Lo != lo || part.Hi != hi {
 		return nil, fmt.Errorf("backend %s: range [%d, %d) back for [%d, %d) sent", be.name, part.Lo, part.Hi, lo, hi)
 	}
-	return sim.ReducerFromWire(part.Reducer), nil
+	// A partial that is inconsistent, or that folds a different number
+	// of runs than the range holds, would skew every statistic of the
+	// merge: fail the chunk instead, so fanOut retries it elsewhere.
+	red := sim.ReducerFromWire(part.Reducer)
+	if err := red.Validate(); err != nil {
+		return nil, fmt.Errorf("backend %s: %v", be.name, err)
+	}
+	if red.Runs() != int64(hi-lo) {
+		return nil, fmt.Errorf("backend %s: partial folds %d runs for range [%d, %d)", be.name, red.Runs(), lo, hi)
+	}
+	return red, nil
 }

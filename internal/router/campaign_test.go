@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/web"
@@ -48,33 +50,57 @@ func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 	single := newBackend(t)
 	want := play(t, single.URL, stream)
 
+	// boot starts the router over live poisoner-wrapped backends and
+	// dead refused ports. With poison set it arms the second backend in
+	// the sharded campaign's rank order: that one never owns a
+	// forwarded request, but its partials are poisoned.
+	boot := func(t *testing.T, live, dead int, cfg Config, poison bool) (*httptest.Server, *poisoner) {
+		var urls []string
+		shards := make([]*poisoner, live)
+		for i := range shards {
+			shards[i] = &poisoner{next: backendHandler()}
+			ts := httptest.NewServer(shards[i])
+			t.Cleanup(ts.Close)
+			urls = append(urls, ts.URL)
+		}
+		for i := 0; i < dead; i++ {
+			ts := httptest.NewServer(http.NotFoundHandler())
+			ts.Close()
+			urls = append(urls, ts.URL)
+		}
+		rt, err := New(urls, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts := httptest.NewServer(rt.Handler())
+		t.Cleanup(rts.Close)
+		if !poison {
+			return rts, nil
+		}
+		_, key, _ := splitCampaign([]byte(stream[1].body))
+		p := shards[rt.liveOrder(rt.rank(key))[1]]
+		p.armed.Store(true)
+		return rts, p
+	}
+
 	cases := []struct {
 		name       string
 		live, dead int
 		cfg        Config
+		poison     bool
 	}{
-		{"three live shards", 3, 0, Config{}},
+		{"three live shards", 3, 0, Config{}, false},
 		// Chunks on refused ports walk their rotated live order as far
 		// as Retries allows, so every chunk reaches the one live shard.
-		{"one live shard, two refused, two retries", 1, 2, Config{Retries: 2}},
+		{"one live shard, two refused, two retries", 1, 2, Config{Retries: 2}, false},
+		// The chunk that first lands on the poisoned shard fails
+		// Validate and is retried (once, the default) on the next
+		// shard; the poisoned partial is never merged.
+		{"three live shards, one poisoned", 3, 0, Config{}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var urls []string
-			for i := 0; i < tc.live; i++ {
-				urls = append(urls, newBackend(t).URL)
-			}
-			for i := 0; i < tc.dead; i++ {
-				ts := httptest.NewServer(http.NotFoundHandler())
-				ts.Close()
-				urls = append(urls, ts.URL)
-			}
-			rt, err := New(urls, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rts := httptest.NewServer(rt.Handler())
-			t.Cleanup(rts.Close)
+			rts, p := boot(t, tc.live, tc.dead, tc.cfg, tc.poison)
 			got := play(t, rts.URL, stream)
 
 			for i := range stream {
@@ -83,8 +109,54 @@ func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 						i, stream[i].method, stream[i].path, want[i], got[i])
 				}
 			}
+			if p != nil && p.poisoned.Load() == 0 {
+				t.Error("the poisoned shard served no partial; the case tests nothing")
+			}
 		})
 	}
+
+	// With no retry left, the poisoned chunk fails the whole campaign
+	// rather than being merged into a summary.
+	t.Run("poisoned partial, no retries", func(t *testing.T) {
+		rts, p := boot(t, 3, 0, Config{Retries: -1}, true)
+		got := play(t, rts.URL, stream[:2])
+		if !strings.HasPrefix(got[1], "502\n") || p.poisoned.Load() == 0 {
+			t.Fatalf("campaign over a poisoned shard answered %q (poisoned partials %d), want a 502", got[1], p.poisoned.Load())
+		}
+	})
+}
+
+// poisoner wraps a backend handler. Once armed, it corrupts every
+// partial campaign reducer the backend answers with — one survivor
+// more than runs, which Validate rejects — and counts them.
+type poisoner struct {
+	next     http.Handler
+	armed    atomic.Bool
+	poisoned atomic.Int64
+}
+
+func (p *poisoner) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !p.armed.Load() || r.URL.Path != "/simulate/campaign" {
+		p.next.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	p.next.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	var part web.CampaignPartial
+	if rec.Code == http.StatusOK && json.Unmarshal(body, &part) == nil && part.Hi > 0 {
+		part.Reducer.Survived = part.Reducer.Runs + 1
+		var err error
+		if body, err = json.Marshal(part); err != nil {
+			panic(err)
+		}
+		p.poisoned.Add(1)
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(body)
 }
 
 // TestSplitCampaign pins the router's shard-or-forward decisions.

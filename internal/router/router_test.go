@@ -19,18 +19,23 @@ import (
 	"repro/internal/web"
 )
 
-// newBackend boots one backend exactly as cmd/serve wires it: the web
-// handler plus the standalone /verify endpoint.
+// newBackend boots one backend exactly as cmd/serve wires it.
 func newBackend(t *testing.T) *httptest.Server {
 	t.Helper()
+	ts := httptest.NewServer(backendHandler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// backendHandler is a backend's handler as cmd/serve wires it: the web
+// handler plus the standalone /verify endpoint.
+func backendHandler() http.Handler {
 	srv := web.NewServer(sched.Options{})
 	srv.Add(paperex.Nine())
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	mux.HandleFunc("POST /verify", srv.VerifyHandlerFunc)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
+	return mux
 }
 
 func newRouterServer(t *testing.T, backends ...string) (*Router, *httptest.Server) {

@@ -31,14 +31,9 @@ type Campaign struct {
 	// count sets run concurrency; its cache deduplicates identical
 	// residual problems across runs.
 	Svc *service.Service
-	// MaxReschedules bounds per-run replanning (default 16).
+	// MaxReschedules bounds per-run replanning
+	// (DefaultMaxReschedules when 0).
 	MaxReschedules int
-	// OnContingency observes every verifier-checked candidate across
-	// all runs; it may be called concurrently. Setting it disables the
-	// nominal-plan hoist and the per-worker adopt memo (every candidate
-	// must actually be checked to be observed), so campaigns with an
-	// observer run slower.
-	OnContingency func(ContingencyEvent)
 }
 
 // Dist summarizes a sample distribution. Mean and Max are exact; P50
@@ -117,11 +112,20 @@ func (c Campaign) ReduceRange(ctx context.Context, lo, hi int) (*Reducer, error)
 	if lo < 0 || hi > c.Runs || lo >= hi {
 		return nil, fmt.Errorf("sim: campaign range [%d, %d) outside [0, %d)", lo, hi, c.Runs)
 	}
-	svc := c.Svc
-	if svc == nil {
-		svc = service.Shared()
+	cfg := runConfig{
+		Mission:        c.Mission,
+		Faults:         c.Faults,
+		Opts:           c.Opts,
+		Svc:            c.Svc,
+		MaxReschedules: c.MaxReschedules,
 	}
-	workers := svc.Pool().Workers()
+	if cfg.Svc == nil {
+		cfg.Svc = service.Shared()
+	}
+	if cfg.MaxReschedules <= 0 {
+		cfg.MaxReschedules = DefaultMaxReschedules
+	}
+	workers := cfg.Svc.Pool().Workers()
 	if workers > hi-lo {
 		workers = hi - lo
 	}
@@ -129,24 +133,11 @@ func (c Campaign) ReduceRange(ctx context.Context, lo, hi int) (*Reducer, error)
 		workers = 1
 	}
 
-	cfg := RunConfig{
-		Mission:        c.Mission,
-		Faults:         c.Faults,
-		Opts:           c.Opts,
-		Svc:            svc,
-		MaxReschedules: c.MaxReschedules,
-		OnContingency:  c.OnContingency,
-	}
 	// Hoist the nominal plan: every run plans the same problem under
-	// the same t=0 conditions, so one adopt serves the whole range. An
-	// OnContingency observer disables the hoist — it must see each
-	// run's nominal candidates under that run's seed.
-	var nom *nominalPlan
-	if c.OnContingency == nil {
-		nom = hoistNominal(ctx, svc, cfg, newRunScratch())
-		if !nom.ok && ctx.Err() != nil {
-			return nil, fmt.Errorf("sim: campaign aborted: %w", ctx.Err())
-		}
+	// the same t=0 conditions, so one adopt serves the whole range.
+	nom := hoistNominal(ctx, cfg)
+	if !nom.ok && ctx.Err() != nil {
+		return nil, fmt.Errorf("sim: campaign aborted: %w", ctx.Err())
 	}
 
 	// Workers claim run indices from a shared counter and fold results

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"repro/internal/verify"
 )
 
-// contingencyLog is a concurrency-safe OnContingency recorder.
+// contingencyLog is a concurrency-safe recorder for the observe seam.
 type contingencyLog struct {
 	mu     sync.Mutex
 	events []ContingencyEvent
@@ -20,6 +21,15 @@ func (l *contingencyLog) record(ev ContingencyEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, ev)
+}
+
+// observed runs fn with the observe seam recording into a fresh log.
+func observed(fn func()) *contingencyLog {
+	log := &contingencyLog{}
+	observe = log.record
+	defer func() { observe = nil }()
+	fn()
+	return log
 }
 
 // TestCampaignDeterministicAcrossWorkers is the core determinism
@@ -58,26 +68,31 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCampaignContingenciesVerified asserts the adoption gate: every
-// contingency schedule a campaign adopts passes the independent
-// verifier — zero tolerated violations — and rejected candidates are
-// all counted in VerifyRejects.
+// TestCampaignContingenciesVerified asserts the adoption gate on the
+// production path (hoisted nominal plan included): every contingency
+// schedule a campaign adopts passes the independent verifier — zero
+// tolerated violations — every rejected candidate fails it, and
+// VerifyRejects counts the hoisted nominal plan's rejects once per run
+// plus every contingency reject.
 func TestCampaignContingenciesVerified(t *testing.T) {
 	m := chainMission()
 	m.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
-	log := &contingencyLog{}
 	c := Campaign{
-		Mission:       m,
-		Faults:        DefaultFaults(),
-		Runs:          16,
-		Seed:          7,
-		Svc:           service.New(service.Config{Workers: 4}),
-		OnContingency: log.record,
+		Mission: m,
+		Faults:  DefaultFaults(),
+		Runs:    16,
+		Seed:    7,
+		Svc:     service.New(service.Config{Workers: 4}),
 	}
-	sum, err := c.Run()
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
+	cfg := runConfig{Mission: c.Mission, Faults: c.Faults, Svc: c.Svc}
+	nom := hoistNominal(context.Background(), cfg)
+	var sum Summary
+	log := observed(func() {
+		var err error
+		if sum, err = c.Run(); err != nil {
+			t.Fatalf("campaign: %v", err)
+		}
+	})
 	if len(log.events) == 0 {
 		t.Fatal("no contingency events observed")
 	}
@@ -95,8 +110,45 @@ func TestCampaignContingenciesVerified(t *testing.T) {
 			}
 		}
 	}
-	if sum.VerifyRejects != rejected {
-		t.Errorf("VerifyRejects = %d, observed %d rejected events", sum.VerifyRejects, rejected)
+	// The campaign's own hoist reported the nominal rejects once.
+	if want := c.Runs*nom.rejects + rejected - nom.rejects; sum.VerifyRejects != want {
+		t.Errorf("VerifyRejects = %d, want %d (%d runs × %d nominal + %d contingency rejects)",
+			sum.VerifyRejects, want, c.Runs, nom.rejects, rejected-nom.rejects)
+	}
+}
+
+// TestCampaignObserveDoesNotPerturb shows the observe seam only watches: a
+// campaign's summary is byte-identical with and without it installed.
+func TestCampaignObserveDoesNotPerturb(t *testing.T) {
+	m := chainMission()
+	m.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
+	for _, workers := range []int{1, 4} {
+		render := func() []byte {
+			c := Campaign{
+				Mission: m,
+				Faults:  DefaultFaults(),
+				Runs:    24,
+				Seed:    42,
+				Svc:     service.New(service.Config{Workers: workers}),
+			}
+			sum, err := c.Run()
+			if err != nil {
+				t.Fatalf("campaign (workers=%d): %v", workers, err)
+			}
+			b, err := sum.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		plain := render()
+		var watched []byte
+		if log := observed(func() { watched = render() }); len(log.events) == 0 {
+			t.Fatalf("workers=%d: no events observed", workers)
+		}
+		if !bytes.Equal(plain, watched) {
+			t.Fatalf("workers=%d: summary changes with observe installed:\n--- without\n%s\n--- with\n%s", workers, plain, watched)
+		}
 	}
 }
 

@@ -166,21 +166,14 @@ type runFaults struct {
 	degrade float64
 }
 
-// draw realizes one run's faults. The RNG consumption order is fixed
-// — tasks in problem order (overrun, then retries), then brownout,
-// dropout, degradation — so a given (model, seed, task set) always
-// yields the same perturbation regardless of scheduling concurrency.
-func (m FaultModel) draw(rng *rand.Rand, tasks []model.Task, scripted []mission.FaultPhase, horizon model.Time) runFaults {
-	var f runFaults
-	m.drawInto(&f, rng, tasks, scripted, horizon)
-	return f
-}
-
-// drawInto is draw into reused storage: f's maps are cleared and its
-// window slice truncated, so a campaign worker redraws every run
-// without reallocating. The RNG consumption order is identical to
-// draw's.
-func (m FaultModel) drawInto(f *runFaults, rng *rand.Rand, tasks []model.Task, scripted []mission.FaultPhase, horizon model.Time) {
+// draw realizes one run's faults into f, reusing its storage: f's maps
+// are cleared and its window slice truncated, so a campaign worker
+// redraws every run without reallocating. The RNG consumption order is
+// fixed — tasks in problem order (overrun, then retries), then
+// brownout, dropout, degradation — so a given (model, seed, task set)
+// always yields the same perturbation regardless of scheduling
+// concurrency.
+func (m FaultModel) draw(f *runFaults, rng *rand.Rand, tasks []model.Task, scripted []mission.FaultPhase, horizon model.Time) {
 	if f.actual == nil {
 		f.actual = make(map[string]model.Time, len(tasks))
 	} else {

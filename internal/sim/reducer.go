@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -162,13 +163,42 @@ func (k *sketch) wire() DistWire {
 	return w
 }
 
-func (k *sketch) fromWire(w DistWire) {
+// fromWire rebuilds the sketch from its transport form. It reports a
+// bucket pair that is out of range or out of ascending order, which the
+// rebuilt sketch could not show; validate checks the rest.
+func (k *sketch) fromWire(w DistWire) error {
 	k.count, k.sum, k.min, k.max = w.Count, w.Sum, w.Min, w.Max
+	prev := int64(-1)
 	for _, bc := range w.Buckets {
-		if bc[0] >= 0 && bc[0] < sketchBucketCount {
-			k.buckets[bc[0]] = bc[1]
+		if bc[0] <= prev || bc[0] >= sketchBucketCount {
+			return fmt.Errorf("bucket index %d out of range or order", bc[0])
 		}
+		k.buckets[bc[0]] = bc[1]
+		prev = bc[0]
 	}
+	return nil
+}
+
+// validate checks that the sketch holds count samples: non-negative
+// fields, buckets summing to count, and min <= max when non-empty.
+func (k *sketch) validate() error {
+	if k.count < 0 || k.sum < 0 || k.min < 0 || k.max < 0 {
+		return fmt.Errorf("negative field")
+	}
+	var n int64
+	for _, c := range k.buckets {
+		if c < 0 || c > math.MaxInt64-n {
+			return fmt.Errorf("bucket count %d negative or overflowing", c)
+		}
+		n += c
+	}
+	if n != k.count {
+		return fmt.Errorf("buckets sum to %d, count is %d", n, k.count)
+	}
+	if k.count > 0 && k.min > k.max {
+		return fmt.Errorf("min %d > max %d", k.min, k.max)
+	}
+	return nil
 }
 
 // Reducer is the streaming, mergeable campaign accumulator. Workers
@@ -188,6 +218,9 @@ type Reducer struct {
 	reschedHist     []int64
 	energy          sketch
 	finish          sketch
+	// wireErr is a defect of the transport form that the rebuilt
+	// reducer cannot show (see sketch.fromWire); Validate reports it.
+	wireErr error
 }
 
 // NewReducer allocates an empty reducer.
@@ -365,7 +398,65 @@ func ReducerFromWire(w ReducerWire) *Reducer {
 	if len(w.RescheduleHist) > 0 {
 		r.reschedHist = append([]int64(nil), w.RescheduleHist...)
 	}
-	r.energy.fromWire(w.Energy)
-	r.finish.fromWire(w.Finish)
+	if err := r.energy.fromWire(w.Energy); err != nil {
+		r.wireErr = fmt.Errorf("energy sketch: %w", err)
+	}
+	if err := r.finish.fromWire(w.Finish); err != nil && r.wireErr == nil {
+		r.wireErr = fmt.Errorf("finish sketch: %w", err)
+	}
 	return r
+}
+
+// Validate checks the reducer's internal consistency: every counter is
+// non-negative, survived <= runs and deadline misses <= survived, the
+// failure counts sum to runs - survived, the reschedule histogram sums
+// to runs with a weighted sum equal to reschedules, the energy sketch
+// holds runs samples and the finish sketch survived samples. A reducer
+// built by Add and Merge always passes; one rebuilt from a shard's
+// wire form must pass before it is merged.
+func (r *Reducer) Validate() error {
+	if r.wireErr != nil {
+		return fmt.Errorf("sim: reducer: %w", r.wireErr)
+	}
+	for _, c := range []int64{r.runs, r.survived, r.deadlineMisses, r.reschedules, r.fallbacks, r.waits, r.verifyRejects, r.constraintDrops} {
+		if c < 0 {
+			return fmt.Errorf("sim: reducer: negative counter %d", c)
+		}
+	}
+	if r.survived > r.runs || r.deadlineMisses > r.survived {
+		return fmt.Errorf("sim: reducer: survived %d, deadline misses %d, runs %d out of order", r.survived, r.deadlineMisses, r.runs)
+	}
+	// Every term is checked non-negative before it is added, so a sum
+	// that would pass math.MaxInt64 is caught before it wraps.
+	var failed int64
+	for kind, c := range r.failures {
+		if c < 0 || c > math.MaxInt64-failed {
+			return fmt.Errorf("sim: reducer: failure count %q = %d negative or overflowing", kind, c)
+		}
+		failed += c
+	}
+	if failed != r.runs-r.survived {
+		return fmt.Errorf("sim: reducer: failures sum to %d, want runs - survived = %d", failed, r.runs-r.survived)
+	}
+	var runs, resched int64
+	for k, c := range r.reschedHist {
+		if c < 0 || c > math.MaxInt64-runs || (k > 0 && c > (math.MaxInt64-resched)/int64(k)) {
+			return fmt.Errorf("sim: reducer: reschedule histogram entry %d = %d negative or overflowing", k, c)
+		}
+		runs += c
+		resched += int64(k) * c
+	}
+	if runs != r.runs || resched != r.reschedules {
+		return fmt.Errorf("sim: reducer: reschedule histogram holds %d runs and %d reschedules, want %d and %d", runs, resched, r.runs, r.reschedules)
+	}
+	if err := r.energy.validate(); err != nil {
+		return fmt.Errorf("sim: reducer: energy sketch: %w", err)
+	}
+	if err := r.finish.validate(); err != nil {
+		return fmt.Errorf("sim: reducer: finish sketch: %w", err)
+	}
+	if r.energy.count != r.runs || r.finish.count != r.survived {
+		return fmt.Errorf("sim: reducer: sketches hold %d and %d samples, want runs %d and survived %d", r.energy.count, r.finish.count, r.runs, r.survived)
+	}
+	return nil
 }

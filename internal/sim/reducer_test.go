@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mission"
@@ -213,4 +215,111 @@ func sortInt64s(v []int64) {
 			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
+}
+
+// TestReducerValidate checks that Validate accepts every reducer Add,
+// Merge and the wire form build, and rejects each kind of inconsistent
+// shard partial.
+func TestReducerValidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := NewReducer(), NewReducer()
+	for i := 0; i < 200; i++ {
+		a.Add(randResult(rng))
+		b.Add(randResult(rng))
+	}
+	a.Merge(b)
+	for name, r := range map[string]*Reducer{"empty": NewReducer(), "merged": a, "wire": ReducerFromWire(a.Wire())} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s reducer: %v", name, err)
+		}
+	}
+	good := a.Wire()
+	poisons := map[string]func(w *ReducerWire){
+		"negative counter":      func(w *ReducerWire) { w.Waits = -1 },
+		"survived > runs":       func(w *ReducerWire) { w.Survived = w.Runs + 1 },
+		"misses > survived":     func(w *ReducerWire) { w.DeadlineMisses = w.Survived + 1 },
+		"failures sum":          func(w *ReducerWire) { w.Failures[FailTask]++ },
+		"histogram runs":        func(w *ReducerWire) { w.RescheduleHist[0]++ },
+		"histogram reschedules": func(w *ReducerWire) { w.Reschedules++ },
+		"histogram overflow": func(w *ReducerWire) {
+			w.RescheduleHist = append(w.RescheduleHist, math.MaxInt64/2, math.MaxInt64/2, 2)
+		},
+		"energy count":        func(w *ReducerWire) { w.Energy.Count++ },
+		"finish bucket":       func(w *ReducerWire) { w.Finish.Buckets[0][1]++ },
+		"bucket out of range": func(w *ReducerWire) { w.Energy.Buckets[0][0] = sketchBucketCount },
+		"bucket negative":     func(w *ReducerWire) { w.Energy.Buckets[0][0] = -1 },
+		"bucket order": func(w *ReducerWire) {
+			w.Finish.Buckets[0], w.Finish.Buckets[1] = w.Finish.Buckets[1], w.Finish.Buckets[0]
+		},
+		"min > max": func(w *ReducerWire) { w.Finish.Min = w.Finish.Max + 1 },
+	}
+	for name, poison := range poisons {
+		// Deep-copy good through JSON so each poison starts clean.
+		data, err := json.Marshal(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w ReducerWire
+		if err := json.Unmarshal(data, &w); err != nil {
+			t.Fatal(err)
+		}
+		poison(&w)
+		if err := ReducerFromWire(w).Validate(); err == nil {
+			t.Errorf("%s: poisoned partial validates", name)
+		}
+	}
+}
+
+// FuzzReducerWire feeds arbitrary JSON through the shard transport
+// form. Decoding and Validate must never panic, and a partial that
+// validates must survive a JSON round trip exactly, merge and finalize.
+func FuzzReducerWire(f *testing.F) {
+	rng := rand.New(rand.NewSource(6))
+	r := NewReducer()
+	for i := 0; i < 50; i++ {
+		r.Add(randResult(rng))
+	}
+	seed, err := json.Marshal(r.Wire())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"runs":1,"reschedule_hist":[1],"energy":{"count":1,"buckets":[[2000,1]]},"failures":{"battery":1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w ReducerWire
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		r := ReducerFromWire(w)
+		if r.Validate() != nil {
+			return
+		}
+		data, err := json.Marshal(r.Wire())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w2 ReducerWire
+		if err := json.Unmarshal(data, &w2); err != nil {
+			t.Fatal(err)
+		}
+		back := ReducerFromWire(w2)
+		if err := back.Validate(); err != nil {
+			t.Fatalf("round-tripped partial fails Validate: %v", err)
+		}
+		if !reflect.DeepEqual(r.Wire(), back.Wire()) {
+			t.Fatalf("wire round trip differs:\n%+v\n%+v", r.Wire(), back.Wire())
+		}
+		want, err := r.Finalize(1).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back.Merge(r)
+		if _, err := back.Finalize(1).JSON(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.Finalize(1).JSON(); err != nil || !bytes.Equal(want, got) {
+			t.Fatalf("merging r into another reducer changed r: %v", err)
+		}
+	})
 }

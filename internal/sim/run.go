@@ -12,7 +12,7 @@ import (
 	"repro/internal/verify"
 )
 
-// Failure kinds reported by Run.
+// Failure kinds of a run.
 const (
 	// FailUnschedulable: the nominal problem (at mission start) has no
 	// verified schedule.
@@ -39,7 +39,8 @@ const DefaultMaxReschedules = 16
 // ContingencyEvent describes one candidate contingency schedule at the
 // moment it was checked against the verifier.
 type ContingencyEvent struct {
-	// Seed identifies the run.
+	// Seed identifies the run (0 for the nominal plan, which
+	// ReduceRange checks once for all of its runs).
 	Seed int64
 	// MissionTime is when the contingency was computed.
 	MissionTime model.Time
@@ -54,23 +55,26 @@ type ContingencyEvent struct {
 	Adopted bool
 }
 
-// RunConfig configures one simulated run.
-type RunConfig struct {
+// observe, when non-nil, receives every verifier-checked candidate —
+// the hoisted nominal plan's once, then every run's contingencies.
+// Only tests install it; production leaves it nil. It may be called
+// from several goroutines at once.
+var observe func(ContingencyEvent)
+
+// runConfig configures one simulated run. ReduceRange resolves Svc and
+// MaxReschedules before any run starts.
+type runConfig struct {
 	Mission Mission
 	Faults  FaultModel
 	Opts    sched.Options
 	// Seed drives every random draw of the run.
 	Seed int64
-	// Svc is the scheduling service (Shared() when nil); residual
-	// problems are content-addressed, so identical contingencies
-	// across runs hit its cache.
+	// Svc is the scheduling service; residual problems are
+	// content-addressed, so identical contingencies across runs hit
+	// its cache.
 	Svc *service.Service
-	// MaxReschedules bounds replanning (DefaultMaxReschedules when 0).
+	// MaxReschedules bounds replanning.
 	MaxReschedules int
-	// OnContingency, when set, observes every verifier-checked
-	// candidate — including the nominal schedule at t=0. Campaigns may
-	// call it from multiple goroutines; it must be safe for that.
-	OnContingency func(ContingencyEvent)
 }
 
 // RunResult is the outcome of one simulated run.
@@ -108,42 +112,16 @@ const pipelineSource = "minpower"
 // adopt computes candidate schedules for prob and returns the first
 // that survives the verify gate: the full pipeline result when it is
 // schedulable and verified, otherwise the best valid entry of a
-// runtime library built from the cheaper pipeline stages. Every
-// candidate checked is reported through cfg.OnContingency.
-//
-// When no observer is installed, outcomes are memoized per worker by
-// problem fingerprint (the pipeline, the verify gate, and the library
-// selection are all deterministic in the problem content), so repeated
-// residual problems across a campaign's runs skip the service round
-// trip and re-verification entirely.
-func adopt(ctx context.Context, svc *service.Service, prob *model.Problem, cfg RunConfig, at model.Time, sc *runScratch) (schedule.Schedule, string, int, bool) {
+// runtime library built from the cheaper pipeline stages. A repeated
+// residual problem costs a service cache lookup per stage, not a
+// recompute; its candidates are verified again on every call.
+func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Time) (schedule.Schedule, string, int, bool) {
 	fp := prob.Fingerprint()
-	memo := cfg.OnContingency == nil
-	if memo {
-		if e, hit := sc.adoptMemo[fp]; hit {
-			return e.sched, e.source, e.rejects, e.ok
-		}
-	}
 	rejects := 0
-	// keep memoizes the outcome before returning it. A canceled
-	// context may have turned "infeasible" into "gave up early" — that
-	// must not be remembered as infeasibility, so cancel-tainted
-	// outcomes are never stored.
-	keep := func(s schedule.Schedule, source string, ok bool) (schedule.Schedule, string, int, bool) {
-		if memo && ctx.Err() == nil {
-			if sc.adoptMemo == nil {
-				sc.adoptMemo = make(map[string]adoptEntry)
-			} else if len(sc.adoptMemo) >= adoptMemoMax {
-				clear(sc.adoptMemo)
-			}
-			sc.adoptMemo[fp] = adoptEntry{sched: s, source: source, rejects: rejects, ok: ok}
-		}
-		return s, source, rejects, ok
-	}
 	check := func(s schedule.Schedule, source string) bool {
 		ok := verify.Check(prob, s).OK()
-		if cfg.OnContingency != nil {
-			cfg.OnContingency(ContingencyEvent{
+		if observe != nil {
+			observe(ContingencyEvent{
 				Seed: cfg.Seed, MissionTime: at,
 				Problem: prob, Schedule: s,
 				Source: source, Adopted: ok,
@@ -154,9 +132,9 @@ func adopt(ctx context.Context, svc *service.Service, prob *model.Problem, cfg R
 		}
 		return ok
 	}
-	if r, err := svc.ScheduleFPCtx(ctx, fp, prob, cfg.Opts, service.StageMinPower); err == nil {
+	if r, err := cfg.Svc.ScheduleFPCtx(ctx, fp, prob, cfg.Opts, service.StageMinPower); err == nil {
 		if check(r.Schedule, pipelineSource) {
-			return keep(r.Schedule, pipelineSource, true)
+			return r.Schedule, pipelineSource, rejects, true
 		}
 	}
 	// Full pipeline infeasible (or rejected): fall back to runtime
@@ -165,12 +143,11 @@ func adopt(ctx context.Context, svc *service.Service, prob *model.Problem, cfg R
 	// itself rather than reading it as infeasibility.
 	var lib rtlib.Selector
 	for _, st := range []service.Stage{service.StageMaxPower, service.StageTiming} {
-		if r, err := svc.ScheduleFPCtx(ctx, fp, prob, cfg.Opts, st); err == nil {
+		if r, err := cfg.Svc.ScheduleFPCtx(ctx, fp, prob, cfg.Opts, st); err == nil {
 			lib.Add(rtlib.NewEntry(st.String(), prob, r.Schedule))
 		}
 	}
-	clear(sc.tried)
-	tried := sc.tried
+	tried := make(map[string]bool)
 	for {
 		var cand rtlib.Selector
 		for _, e := range lib.Entries() {
@@ -180,28 +157,13 @@ func adopt(ctx context.Context, svc *service.Service, prob *model.Problem, cfg R
 		}
 		e, ok := cand.Select(prob.Pmax, prob.Pmin)
 		if !ok {
-			return keep(schedule.Schedule{}, "", false)
+			return schedule.Schedule{}, "", rejects, false
 		}
 		tried[e.Name] = true
 		if check(e.Sched, e.Name) {
-			return keep(e.Sched, e.Name, true)
+			return e.Sched, e.Name, rejects, true
 		}
 	}
-}
-
-// Run executes one seeded fault-injection run: plan the nominal
-// mission, realize the seed's faults, replay the schedule against the
-// faulted environment, and replan the residual problem at every
-// violation until the mission completes or is lost.
-func Run(cfg RunConfig) RunResult {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run under a context. When ctx is done the run stops at the
-// next replanning decision and reports FailCanceled — an abandoned
-// run, not a mission verdict; campaign aggregation discards it.
-func RunCtx(ctx context.Context, cfg RunConfig) RunResult {
-	return runOne(ctx, cfg, newRunScratch(), nil)
 }
 
 // nominalPlan is the t = 0 planning result. Every run of a campaign
@@ -219,12 +181,12 @@ type nominalPlan struct {
 }
 
 // hoistNominal plans the nominal mission under the conditions at t=0.
-func hoistNominal(ctx context.Context, svc *service.Service, cfg RunConfig, sc *runScratch) *nominalPlan {
+func hoistNominal(ctx context.Context, cfg runConfig) *nominalPlan {
 	m := cfg.Mission
 	p0 := m.Problem.Clone()
 	p0.Pmin = m.Phases[0].Cond.Solar
 	p0.Pmax = p0.Pmin + m.Battery.MaxPower
-	s0, source, rejects, ok := adopt(ctx, svc, p0, cfg, 0, sc)
+	s0, source, rejects, ok := adopt(ctx, p0, cfg, 0)
 	nom := &nominalPlan{p0: p0, s0: s0, source: source, rejects: rejects, ok: ok}
 	if ok {
 		nom.finish0 = s0.Finish(p0.Tasks)
@@ -232,32 +194,18 @@ func hoistNominal(ctx context.Context, svc *service.Service, cfg RunConfig, sc *
 	return nom
 }
 
-// runOne executes one seeded run on a worker's scratch state. nom is
-// the campaign's hoisted nominal plan (nil when the run must plan the
-// nominal mission itself — single runs, and campaigns with an
-// OnContingency observer that wants per-run nominal events).
-func runOne(ctx context.Context, cfg RunConfig, sc *runScratch, nom *nominalPlan) RunResult {
+// runOne executes one seeded fault-injection run on a worker's scratch
+// state: starting from the campaign's hoisted nominal plan, realize the
+// seed's faults, replay the schedule against the faulted environment,
+// and replan the residual problem at every violation until the mission
+// completes or is lost. When ctx is done the run stops at its next
+// replanning decision and reports FailCanceled — an abandoned run, not
+// a mission verdict.
+func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan) RunResult {
 	res := RunResult{Seed: cfg.Seed}
-	svc := cfg.Svc
-	if svc == nil {
-		svc = service.Shared()
-	}
-	maxRes := cfg.MaxReschedules
-	if maxRes <= 0 {
-		maxRes = DefaultMaxReschedules
-	}
 	m := cfg.Mission
-	if m.Problem == nil || len(m.Phases) == 0 {
-		res.Failure = FailUnschedulable
-		return res
-	}
 	rng := sc.seed(cfg.Seed)
 
-	// Plan the nominal mission under the conditions at t = 0 (or adopt
-	// the campaign's hoisted plan).
-	if nom == nil {
-		nom = hoistNominal(ctx, svc, cfg, sc)
-	}
 	res.VerifyRejects += nom.rejects
 	if !nom.ok {
 		if ctx.Err() != nil {
@@ -284,7 +232,7 @@ func runOne(ctx context.Context, cfg RunConfig, sc *runScratch, nom *nominalPlan
 	if h := 2 * finish0; h < horizon {
 		horizon = h
 	}
-	cfg.Faults.drawInto(&sc.faults, rng, m.Problem.Tasks, m.Faults, horizon)
+	cfg.Faults.draw(&sc.faults, rng, m.Problem.Tasks, m.Faults, horizon)
 	faults := &sc.faults
 	for _, t := range m.Problem.Tasks {
 		if faults.fatal[t.Name] {
@@ -292,7 +240,7 @@ func runOne(ctx context.Context, cfg RunConfig, sc *runScratch, nom *nominalPlan
 			return res
 		}
 	}
-	env := sc.environment(m.Phases, faults.windows)
+	env := buildEnvironment(m.Phases, faults.windows)
 	bat := power.Battery{
 		MaxPower: m.Battery.MaxPower,
 		Capacity: m.Battery.Capacity * (1 - faults.degrade),
@@ -329,7 +277,7 @@ func runOne(ctx context.Context, cfg RunConfig, sc *runScratch, nom *nominalPlan
 			return res
 		}
 		stop := rep.StoppedAt
-		if res.Reschedules >= maxRes {
+		if res.Reschedules >= cfg.MaxReschedules {
 			res.Failure = FailRescheduleLimit
 			res.Finish = T + stop
 			return res
@@ -377,7 +325,7 @@ func runOne(ctx context.Context, cfg RunConfig, sc *runScratch, nom *nominalPlan
 			}
 			q.Pmax = q.Pmin + headroom
 			if q.Pmax > 0 { // Pmax == 0 means "unconstrained" to the model; never schedule into a blackout
-				s2, source, rejects, ok := adopt(ctx, svc, q, cfg, cur, sc)
+				s2, source, rejects, ok := adopt(ctx, q, cfg, cur)
 				res.VerifyRejects += rejects
 				if ok {
 					if source != pipelineSource {

@@ -4,32 +4,13 @@ import (
 	"math/rand"
 
 	"repro/internal/exec"
-	"repro/internal/mission"
 	"repro/internal/model"
-	"repro/internal/schedule"
 )
 
-// adoptMemoMax bounds the per-worker adopt memo. Campaigns with heavy
-// fault models generate an unbounded stream of distinct residual
-// problems; clearing the memo at the cap keeps a 10^6-run campaign's
-// memory flat while still short-circuiting the common repeats.
-const adoptMemoMax = 4096
-
-// adoptEntry is a memoized adopt outcome for one residual-problem
-// fingerprint. The pipeline and the verifier are deterministic in the
-// problem content, so replaying the stored outcome — including the
-// reject count — is indistinguishable from recomputing it.
-type adoptEntry struct {
-	sched   schedule.Schedule
-	source  string
-	rejects int
-	ok      bool
-}
-
 // runScratch is the per-worker reusable state of the run loop: the
-// run RNG, the realized fault set, the replayer and its buffers, the
-// perturbed-problem copy, and the adopt memo. One scratch serves one
-// goroutine for the lifetime of a campaign; nothing in it is shared.
+// run RNG, the realized fault set, the replayer and its buffers, and
+// the perturbed-problem copy. One scratch serves one goroutine for the
+// lifetime of a campaign; nothing in it is shared.
 type runScratch struct {
 	src rand.Source
 	rng *rand.Rand
@@ -37,9 +18,8 @@ type runScratch struct {
 	faults   runFaults
 	replayer exec.Replayer
 
-	// delayed is the reusable perturbed problem handed to the replayer
-	// (the scratch equivalent of withActualDelays); taskBuf backs its
-	// task slice.
+	// delayed is the reusable perturbed problem handed to the
+	// replayer; taskBuf backs its task slice.
 	delayed model.Problem
 	taskBuf []model.Task
 
@@ -52,19 +32,6 @@ type runScratch struct {
 	// pointer — a campaign's shared nominal problem hits across runs).
 	idxProb *model.Problem
 	idx     map[string]int
-
-	// tried is the adopt loop's per-call candidate-exclusion set.
-	tried map[string]bool
-
-	adoptMemo map[string]adoptEntry
-
-	// env memoizes buildEnvironment for the previous run's window set:
-	// most runs draw no random solar windows, so consecutive runs of a
-	// campaign share one environment (read-only once built). A scratch
-	// serves a single campaign, so the phases are constant.
-	env        environment
-	envWindows []window
-	envValid   bool
 }
 
 func newRunScratch() *runScratch {
@@ -73,7 +40,6 @@ func newRunScratch() *runScratch {
 		src:      src,
 		rng:      rand.New(src),
 		revealed: make(map[string]model.Time),
-		tried:    make(map[string]bool),
 	}
 }
 
@@ -86,10 +52,10 @@ func (sc *runScratch) seed(seed int64) *rand.Rand {
 	return sc.rng
 }
 
-// delayedProblem is withActualDelays without the Clone: the scratch
-// problem shadows p with the run's realized delays applied. Only the
-// task slice is copied — the replay reads nothing else that the delay
-// overlay changes (constraints alias p's).
+// delayedProblem returns p with the run's realized delays applied,
+// built in the scratch problem. Only the task slice is copied — the
+// replay reads nothing else that the delay overlay changes
+// (constraints alias p's).
 func (sc *runScratch) delayedProblem(p *model.Problem, actual map[string]model.Time) *model.Problem {
 	sc.taskBuf = append(sc.taskBuf[:0], p.Tasks...)
 	sc.delayed = *p
@@ -109,28 +75,4 @@ func (sc *runScratch) taskIndex(p *model.Problem) map[string]int {
 		sc.idx = p.TaskIndex()
 	}
 	return sc.idx
-}
-
-// environment returns the faulted environment for this run's windows,
-// reusing the previous run's when the window set is identical.
-func (sc *runScratch) environment(phases []mission.Phase, windows []window) environment {
-	if sc.envValid && windowsEqual(sc.envWindows, windows) {
-		return sc.env
-	}
-	sc.env = buildEnvironment(phases, windows)
-	sc.envWindows = append(sc.envWindows[:0], windows...)
-	sc.envValid = true
-	return sc.env
-}
-
-func windowsEqual(a, b []window) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

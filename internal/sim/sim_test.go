@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,11 +37,19 @@ func chainMission() Mission {
 	}
 }
 
+// runSingle runs one seeded run the way a campaign worker does: hoist
+// the nominal plan, then run on a fresh scratch, with the defaults
+// ReduceRange would resolve.
+func runSingle(cfg runConfig) RunResult {
+	cfg.Svc = service.New(service.Config{Workers: 1})
+	cfg.MaxReschedules = DefaultMaxReschedules
+	return runOne(context.Background(), cfg, newRunScratch(), hoistNominal(context.Background(), cfg))
+}
+
 func TestRunNominal(t *testing.T) {
-	res := Run(RunConfig{
+	res := runSingle(runConfig{
 		Mission: chainMission(),
 		Seed:    1,
-		Svc:     service.New(service.Config{Workers: 1}),
 	})
 	if !res.Survived || res.Failure != "" {
 		t.Fatalf("nominal run did not survive: %+v", res)
@@ -63,10 +72,9 @@ func TestRunScriptedDropout(t *testing.T) {
 	// the run idles on base power until solar returns at t=7 and
 	// reschedules the in-flight b plus the pending c.
 	m.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
-	res := Run(RunConfig{
+	res := runSingle(runConfig{
 		Mission: m,
 		Seed:    1,
-		Svc:     service.New(service.Config{Workers: 1}),
 	})
 	if !res.Survived || res.Failure != "" {
 		t.Fatalf("dropout run did not survive: %+v", res)
@@ -85,11 +93,10 @@ func TestRunScriptedDropout(t *testing.T) {
 }
 
 func TestRunFatalTaskFailure(t *testing.T) {
-	res := Run(RunConfig{
+	res := runSingle(runConfig{
 		Mission: chainMission(),
 		Faults:  FaultModel{FailProb: 1, MaxRetries: 0},
 		Seed:    7,
-		Svc:     service.New(service.Config{Workers: 1}),
 	})
 	if res.Survived || res.Failure != FailTask {
 		t.Fatalf("Failure = %q, Survived = %v, want %q", res.Failure, res.Survived, FailTask)
@@ -103,10 +110,9 @@ func TestRunPermanentBlackoutInfeasible(t *testing.T) {
 		{Cond: mission.Condition{Solar: 0}},
 	}
 	m.Battery = power.Battery{Capacity: 1000, MaxPower: 2}
-	res := Run(RunConfig{
+	res := runSingle(runConfig{
 		Mission: m,
 		Seed:    1,
-		Svc:     service.New(service.Config{Workers: 1}),
 	})
 	if res.Survived {
 		t.Fatalf("run survived a permanent blackout: %+v", res)
