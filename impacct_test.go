@@ -189,7 +189,7 @@ func TestSpecFileEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+	if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 		t.Fatal(err)
 	}
 	if r.Peak() > p.Pmax {

@@ -155,7 +155,7 @@ func TestGenerateIsValidAndSchedulable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+		if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !r.Profile.Valid(p.Pmax) {

@@ -11,9 +11,10 @@ import (
 // TestPipelineAllocBudget pins the flat-memory property of the
 // scheduler core with an absolute allocation budget: one full pipeline
 // run on the 50-task ladder instance must stay within a fixed number
-// of allocations. The budget is ~20% above the measured steady state
-// (627 allocs as of the flat-core rewrite, dominated by one-time state
-// construction) and far below the pre-rewrite cost (~3.9k) — a single
+// of allocations. The budget is ~25% above the measured steady state
+// (135 allocs since the constraint graph became one edge arena and the
+// task choices one bank, dominated by one-time state construction) and
+// far below the pre-rewrite cost (~3.9k) — a single
 // accidental allocation on a per-probe hot path (a profile clone, a
 // candidate sort buffer) multiplies by the thousands of probes and
 // blows the budget immediately, failing fast in the ordinary test
@@ -21,7 +22,7 @@ import (
 func TestPipelineAllocBudget(t *testing.T) {
 	p := Generate(50, 1)
 	opts := Options(50)
-	const budget = 750
+	const budget = 170
 	avg := testing.AllocsPerRun(5, func() {
 		if _, err := sched.MinPower(p, opts); err != nil {
 			t.Fatal(err)

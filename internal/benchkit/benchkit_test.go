@@ -44,7 +44,7 @@ func TestGenerateSchedulable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d infeasible: %v", n, err)
 			}
-			if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+			if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 				t.Fatal(err)
 			}
 			if !r.Profile.Valid(p.Pmax) {

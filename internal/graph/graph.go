@@ -30,54 +30,52 @@ type Edge struct {
 
 // Graph is a journaled weighted digraph over a fixed vertex set.
 // The zero value is unusable; create graphs with New.
+//
+// Every edge is stored once, in an arena that doubles as the mutation
+// journal: edge id i is the i-th live edge added, and a checkpoint is
+// an arena length. Adjacency is threaded through the arena as doubly
+// linked lists, one out-list per source and one in-list per
+// destination, each in insertion order. Edges only ever leave the arena
+// from its end (Rollback), and the newest edge is always the tail of
+// both of its lists, so removal is a pop plus two tail restores.
 type Graph struct {
-	n       int
-	out     [][]Edge // adjacency by source vertex
-	in      [][]Edge // reverse adjacency by destination vertex
-	journal []Edge   // every edge ever added, in order
-	sc      scratch  // relaxation workspace (see incremental.go)
+	n     int
+	arena []slot  // arena and journal: live edges in insertion order
+	ends  []ends  // per vertex: the ends of its out- and in-list
+	sc    scratch // relaxation workspace (see incremental.go)
+}
+
+// slot is one arena entry: an edge together with its neighbours in its
+// source's out-list and its destination's in-list (-1 ends a list).
+// Keeping the links beside the edge makes each step of an adjacency
+// walk one 32-byte read.
+type slot struct {
+	from, to         int32
+	w                int
+	nextOut, prevOut int32
+	nextIn, prevIn   int32
+}
+
+// ends holds the first and last edge ids of a vertex's out- and
+// in-list; -1 when the list is empty.
+type ends struct {
+	firstOut, lastOut int32
+	firstIn, lastIn   int32
 }
 
 // Checkpoint is an opaque marker into the mutation journal.
 type Checkpoint int
 
-// New returns a graph with n vertices and no edges.
-func New(n int) *Graph {
-	return &Graph{
-		n:   n,
-		out: make([][]Edge, n),
-		in:  make([][]Edge, n),
-	}
-}
-
-// NewSized returns a graph with n vertices and no edges whose adjacency
-// lists and journal are preallocated: outDeg[v] and inDeg[v] are the
-// expected out- and in-degrees, edges the expected journal length.
-// Adjacency storage is carved out of two contiguous banks with exact
-// per-vertex capacities, so building a graph of the promised shape
-// performs three allocations total instead of O(n log deg) append
-// growth. Exceeding a promised degree is legal and merely reallocates
-// that vertex's slice.
-func NewSized(n int, outDeg, inDeg []int, edges int) *Graph {
+// New returns a graph with n vertices and no edges whose arena has
+// room for the given number of edges before it grows.
+func New(n, edges int) *Graph {
 	g := &Graph{
-		n:       n,
-		out:     make([][]Edge, n),
-		in:      make([][]Edge, n),
-		journal: make([]Edge, 0, edges),
+		n:     n,
+		arena: make([]slot, 0, edges),
+		ends:  make([]ends, n),
 	}
-	var totOut, totIn int
-	for v := 0; v < n; v++ {
-		totOut += outDeg[v]
-		totIn += inDeg[v]
-	}
-	outBank := make([]Edge, totOut)
-	inBank := make([]Edge, totIn)
-	var po, pi int
-	for v := 0; v < n; v++ {
-		g.out[v] = outBank[po : po : po+outDeg[v]]
-		po += outDeg[v]
-		g.in[v] = inBank[pi : pi : pi+inDeg[v]]
-		pi += inDeg[v]
+	for v := range g.ends {
+		g.ends[v] = ends{-1, -1, -1, -1}
 	}
 	return g
 }
@@ -86,7 +84,7 @@ func NewSized(n int, outDeg, inDeg []int, edges int) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // NumEdges returns the number of live edges.
-func (g *Graph) NumEdges() int { return len(g.journal) }
+func (g *Graph) NumEdges() int { return len(g.arena) }
 
 // AddEdge appends the constraint edge sigma(to) >= sigma(from) + w.
 // Parallel edges are permitted; the effective constraint is the
@@ -98,86 +96,105 @@ func (g *Graph) AddEdge(from, to, w int) {
 	if from == to {
 		panic(fmt.Sprintf("graph: self-loop on vertex %d", from))
 	}
-	e := Edge{From: from, To: to, W: w}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	g.journal = append(g.journal, e)
+	id := int32(len(g.arena))
+	f, t := &g.ends[from], &g.ends[to]
+	g.arena = append(g.arena, slot{
+		from: int32(from), to: int32(to), w: w,
+		nextOut: -1, prevOut: f.lastOut,
+		nextIn: -1, prevIn: t.lastIn,
+	})
+	if f.lastOut < 0 {
+		f.firstOut = id
+	} else {
+		g.arena[f.lastOut].nextOut = id
+	}
+	f.lastOut = id
+	if t.lastIn < 0 {
+		t.firstIn = id
+	} else {
+		g.arena[t.lastIn].nextIn = id
+	}
+	t.lastIn = id
 }
 
 // Mark returns a checkpoint capturing the current edge set.
-func (g *Graph) Mark() Checkpoint { return Checkpoint(len(g.journal)) }
+func (g *Graph) Mark() Checkpoint { return Checkpoint(len(g.arena)) }
 
 // Rollback removes, in reverse order, every edge added after the
 // checkpoint was taken.
 func (g *Graph) Rollback(cp Checkpoint) {
-	if int(cp) > len(g.journal) {
+	if int(cp) > len(g.arena) {
 		panic("graph: rollback to a future checkpoint")
 	}
-	for i := len(g.journal) - 1; i >= int(cp); i-- {
-		e := g.journal[i]
-		g.out[e.From] = g.out[e.From][:len(g.out[e.From])-1]
-		g.in[e.To] = g.in[e.To][:len(g.in[e.To])-1]
+	for i := len(g.arena) - 1; i >= int(cp); i-- {
+		e := &g.arena[i]
+		f, t := &g.ends[e.from], &g.ends[e.to]
+		if f.lastOut = e.prevOut; e.prevOut < 0 {
+			f.firstOut = -1
+		} else {
+			g.arena[e.prevOut].nextOut = -1
+		}
+		if t.lastIn = e.prevIn; e.prevIn < 0 {
+			t.firstIn = -1
+		} else {
+			g.arena[e.prevIn].nextIn = -1
+		}
 	}
-	g.journal = g.journal[:cp]
+	g.arena = g.arena[:cp]
 }
 
-// Out returns the live outgoing edges of v. The slice is owned by the
-// graph; callers must not modify or retain it across mutations.
-func (g *Graph) Out(v int) []Edge { return g.out[v] }
+// FirstOut returns the id of v's oldest live outgoing edge, or -1.
+// Outgoing edges are walked in insertion order:
+//
+//	for id := g.FirstOut(v); id >= 0; id = g.NextOut(id) { e := g.Edge(id); ... }
+//
+// Ids stay valid until a rollback removes the edge.
+func (g *Graph) FirstOut(v int) int { return int(g.ends[v].firstOut) }
 
-// In returns the live incoming edges of v, with the same aliasing
-// caveat as Out.
-func (g *Graph) In(v int) []Edge { return g.in[v] }
+// NextOut returns the id of the outgoing edge of the same source added
+// after edge id, or -1.
+func (g *Graph) NextOut(id int) int { return int(g.arena[id].nextOut) }
+
+// FirstIn returns the id of v's oldest live incoming edge, or -1.
+func (g *Graph) FirstIn(v int) int { return int(g.ends[v].firstIn) }
+
+// NextIn returns the id of the incoming edge of the same destination
+// added after edge id, or -1.
+func (g *Graph) NextIn(id int) int { return int(g.arena[id].nextIn) }
+
+// Edge returns the live edge with the given id. The live ids are
+// exactly 0..NumEdges()-1, in insertion order.
+func (g *Graph) Edge(id int) Edge {
+	e := &g.arena[id]
+	return Edge{From: int(e.from), To: int(e.to), W: e.w}
+}
 
 // Edges returns a copy of all live edges in insertion order.
-func (g *Graph) Edges() []Edge { return g.AppendEdges(nil) }
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, len(g.arena))
+	for id := range out {
+		out[id] = g.Edge(id)
+	}
+	return out
+}
 
-// AppendEdges appends all live edges in insertion order to buf and
-// returns the grown slice, letting callers reuse one buffer across
-// snapshots instead of allocating a fresh copy per call.
-func (g *Graph) AppendEdges(buf []Edge) []Edge { return append(buf, g.journal...) }
-
-// JournalPrefix returns the first edges added to the graph, up to the
-// checkpoint, without copying. The slice aliases the live journal: it
-// stays valid while the graph holds at least cp edges (rollbacks down
-// to cp are fine, rollbacks below it invalidate the view), and callers
-// must not modify it.
-func (g *Graph) JournalPrefix(cp Checkpoint) []Edge { return g.journal[:cp] }
-
-// Clone returns an independent copy of the graph. The copy's adjacency
-// lists are carved out of two contiguous banks with exact per-vertex
-// capacities (three bulk copies instead of re-adding every edge), so a
-// full slice means the first append past a vertex's cloned degree
-// reallocates that vertex's slice — bank neighbors can never observe
-// each other's writes.
+// Clone returns an independent copy of the graph: two bulk copies,
+// with arena headroom so the copy's first edges do not regrow it.
 func (g *Graph) Clone() *Graph {
-	m := len(g.journal)
-	c := &Graph{
-		n:       g.n,
-		out:     make([][]Edge, g.n),
-		in:      make([][]Edge, g.n),
-		journal: append(make([]Edge, 0, m+m/2+16), g.journal...),
+	return &Graph{
+		n:     g.n,
+		arena: append(make([]slot, 0, len(g.arena)+len(g.arena)/2+16), g.arena...),
+		ends:  append([]ends(nil), g.ends...),
 	}
-	outBank := make([]Edge, m)
-	inBank := make([]Edge, m)
-	var po, pi int
-	for v := 0; v < g.n; v++ {
-		do, di := len(g.out[v]), len(g.in[v])
-		c.out[v] = outBank[po : po+do : po+do]
-		copy(c.out[v], g.out[v])
-		po += do
-		c.in[v] = inBank[pi : pi+di : pi+di]
-		copy(c.in[v], g.in[v])
-		pi += di
-	}
-	return c
 }
 
 // LongestFrom computes single-source longest path distances from src
 // using queue-based relaxation (SPFA). dist[v] is the length of the
 // longest path src->v, or NoPath if v is unreachable. ok is false when
 // a positive cycle is reachable from src, in which case dist is
-// meaningless: the constraint system has no solution.
+// meaningless: the constraint system has no solution. It allocates its
+// own workspace and only reads the graph, so it is the from-scratch
+// reference the incremental relaxations are checked against.
 func (g *Graph) LongestFrom(src int) (dist []int, ok bool) {
 	dist = make([]int, g.n)
 	for i := range dist {
@@ -200,22 +217,16 @@ func (g *Graph) LongestFrom(src int) (dist []int, ok bool) {
 			return dist, false
 		}
 		du := dist[u]
-		for _, e := range g.out[u] {
-			if nd := du + e.W; nd > dist[e.To] {
-				dist[e.To] = nd
-				if !inQueue[e.To] {
-					queue = append(queue, e.To)
-					inQueue[e.To] = true
+		for id := g.ends[u].firstOut; id >= 0; id = g.arena[id].nextOut {
+			e := &g.arena[id]
+			if nd := du + e.w; nd > dist[e.to] {
+				dist[e.to] = nd
+				if !inQueue[e.to] {
+					queue = append(queue, int(e.to))
+					inQueue[e.to] = true
 				}
 			}
 		}
 	}
 	return dist, true
-}
-
-// Feasible reports whether the constraint system rooted at src has a
-// solution (no reachable positive cycle).
-func (g *Graph) Feasible(src int) bool {
-	_, ok := g.LongestFrom(src)
-	return ok
 }

@@ -41,12 +41,11 @@ func (g *Graph) AddEdgeRelaxUndo(dist []int, from, to, w int, undo []DistSave) (
 
 	s := g.relaxScratch()
 	epoch := s.epoch
-	queue := s.queue[:0]
-	queue = append(queue, to)
+	s.push(to)
 	s.queueGen[to] = epoch
 	s.touchGen[to] = epoch
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
+	for s.size > 0 {
+		u := s.pop()
 		s.queueGen[u] = 0
 		if s.countGen[u] != epoch {
 			s.countGen[u] = epoch
@@ -54,25 +53,24 @@ func (g *Graph) AddEdgeRelaxUndo(dist []int, from, to, w int, undo []DistSave) (
 		}
 		s.count[u]++
 		if s.count[u] > g.n {
-			s.queue = queue
 			return undo, false
 		}
 		du := dist[u]
-		for _, e := range g.out[u] {
-			if nd := du + e.W; nd > dist[e.To] {
-				if s.touchGen[e.To] != epoch {
-					undo = append(undo, DistSave{V: e.To, Old: dist[e.To]})
-					s.touchGen[e.To] = epoch
+		for id := g.ends[u].firstOut; id >= 0; id = g.arena[id].nextOut {
+			e := &g.arena[id]
+			if v, nd := int(e.to), du+e.w; nd > dist[v] {
+				if s.touchGen[v] != epoch {
+					undo = append(undo, DistSave{V: v, Old: dist[v]})
+					s.touchGen[v] = epoch
 				}
-				dist[e.To] = nd
-				if s.queueGen[e.To] != epoch {
-					queue = append(queue, e.To)
-					s.queueGen[e.To] = epoch
+				dist[v] = nd
+				if s.queueGen[v] != epoch {
+					s.push(v)
+					s.queueGen[v] = epoch
 				}
 			}
 		}
 	}
-	s.queue = queue
 	return undo, true
 }
 
@@ -93,11 +91,10 @@ func (g *Graph) LongestFromInto(dist []int, src int) (ok bool) {
 
 	s := g.relaxScratch()
 	epoch := s.epoch
-	queue := s.queue[:0]
-	queue = append(queue, src)
+	s.push(src)
 	s.queueGen[src] = epoch
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
+	for s.size > 0 {
+		u := s.pop()
 		s.queueGen[u] = 0
 		if s.countGen[u] != epoch {
 			s.countGen[u] = epoch
@@ -105,21 +102,20 @@ func (g *Graph) LongestFromInto(dist []int, src int) (ok bool) {
 		}
 		s.count[u]++
 		if s.count[u] > g.n {
-			s.queue = queue
 			return false
 		}
 		du := dist[u]
-		for _, e := range g.out[u] {
-			if nd := du + e.W; nd > dist[e.To] {
-				dist[e.To] = nd
-				if s.queueGen[e.To] != epoch {
-					queue = append(queue, e.To)
-					s.queueGen[e.To] = epoch
+		for id := g.ends[u].firstOut; id >= 0; id = g.arena[id].nextOut {
+			e := &g.arena[id]
+			if v, nd := int(e.to), du+e.w; nd > dist[v] {
+				dist[v] = nd
+				if s.queueGen[v] != epoch {
+					s.push(v)
+					s.queueGen[v] = epoch
 				}
 			}
 		}
 	}
-	s.queue = queue
 	return true
 }
 
@@ -127,14 +123,38 @@ func (g *Graph) LongestFromInto(dist []int, src int) (ok bool) {
 // and LongestFromInto. Membership marks are epoch-stamped: a vertex is
 // marked iff its gen entry equals the current call's epoch, so starting
 // a call costs one counter increment instead of three O(n) clears.
-// Epochs start at 1; 0 doubles as the dequeued marker.
+// Epochs start at 1; 0 doubles as the dequeued marker. A vertex is in
+// the FIFO queue at most once at a time, so the queue is a ring of n
+// slots and a relaxation never grows it.
 type scratch struct {
 	epoch    int
 	queueGen []int // epoch when the vertex was last enqueued
 	touchGen []int // epoch when the vertex was last journaled
 	countGen []int // epoch of the vertex's dequeue counter
 	count    []int // dequeues this epoch; > n implies a positive cycle
-	queue    []int
+	queue    []int // ring: size vertices starting at slot head
+	head     int
+	size     int
+}
+
+// push enqueues v, which must not be queued already.
+func (s *scratch) push(v int) {
+	t := s.head + s.size
+	if t >= len(s.queue) {
+		t -= len(s.queue)
+	}
+	s.queue[t] = v
+	s.size++
+}
+
+// pop dequeues the oldest queued vertex.
+func (s *scratch) pop() int {
+	u := s.queue[s.head]
+	if s.head++; s.head == len(s.queue) {
+		s.head = 0
+	}
+	s.size--
+	return u
 }
 
 // relaxScratch sizes the scratch to the vertex count and opens a fresh
@@ -146,7 +166,9 @@ func (g *Graph) relaxScratch() *scratch {
 		s.touchGen = make([]int, g.n)
 		s.countGen = make([]int, g.n)
 		s.count = make([]int, g.n)
+		s.queue = make([]int, g.n)
 	}
 	s.epoch++
+	s.head, s.size = 0, 0
 	return s
 }

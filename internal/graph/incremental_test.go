@@ -21,7 +21,7 @@ func replay(dist []int, undo []DistSave) {
 }
 
 func TestAddEdgeRelaxSimple(t *testing.T) {
-	g := New(4)
+	g := New(4, 0)
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 2, 2)
 	dist, ok := g.LongestFrom(0)
@@ -48,7 +48,7 @@ func TestAddEdgeRelaxSimple(t *testing.T) {
 // replaying the journal (spanning an earlier successful edge too) plus a
 // graph Rollback leaves dist exactly as it started.
 func TestAddEdgeRelaxDetectsCycle(t *testing.T) {
-	g := New(4)
+	g := New(4, 0)
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 2, 2)
 	g.AddEdge(2, 3, 2)
@@ -72,7 +72,7 @@ func TestAddEdgeRelaxDetectsCycle(t *testing.T) {
 
 func TestAddEdgeRelaxPropagates(t *testing.T) {
 	// Chain 0->1->2->3; delaying 1 shifts 2 and 3.
-	g := New(5)
+	g := New(5, 0)
 	for i := 0; i < 3; i++ {
 		g.AddEdge(i, i+1, 3)
 	}
@@ -92,7 +92,7 @@ func TestAddEdgeRelaxPropagates(t *testing.T) {
 // dist entry changed, each once with its previous value, and it extends
 // the buffer it is given.
 func TestAddEdgeRelaxTouched(t *testing.T) {
-	g := New(5)
+	g := New(5, 0)
 	for i := 0; i < 3; i++ {
 		g.AddEdge(i, i+1, 3)
 	}
@@ -115,7 +115,7 @@ func TestAddEdgeRelaxTouched(t *testing.T) {
 // randomGraph builds a chain plus a few random edges on 3..14 vertices.
 func randomGraph(rng *rand.Rand) *Graph {
 	n := 3 + rng.Intn(12)
-	g := New(n)
+	g := New(n, 0)
 	for i := 0; i < n-1; i++ {
 		g.AddEdge(i, i+1, rng.Intn(6))
 	}

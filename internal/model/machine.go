@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Machine is an execution element of a heterogeneous platform: a
@@ -127,48 +126,66 @@ func (p *Problem) MachineIndex() map[string]int {
 //
 // For a degenerate problem the result is exactly one choice with the
 // task's nominal delay and power.
-func (p *Problem) TaskChoices(i int) []TaskChoice {
-	t := p.Tasks[i]
-	levels := levelsOf(t)
-	var out []TaskChoice
-	add := func(mi int, speed, scale float64) {
-		for li, lvl := range levels {
-			c := TaskChoice{
-				Machine: mi,
-				Level:   li,
-				Delay:   EffDelay(t.Delay, lvl.Mult, speed),
-				Power:   lvl.Power * scale,
-			}
-			if p.Pmax != 0 && c.Power+p.BasePower > p.Pmax {
-				continue
-			}
-			out = append(out, c)
-		}
-	}
+func (p *Problem) TaskChoices(i int) []TaskChoice { return p.AppendTaskChoices(nil, i) }
+
+// AppendTaskChoices appends task i's choices, in TaskChoices' order, to
+// dst and returns the grown slice. It allocates only when dst lacks
+// room: the order is a stable insertion sort over the appended choices
+// (at most machines x levels of them).
+func (p *Problem) AppendTaskChoices(dst []TaskChoice, i int) []TaskChoice {
+	t := &p.Tasks[i]
+	from := len(dst)
 	if len(p.Machines) == 0 {
-		add(-1, 1, 1)
+		dst = p.appendLevelChoices(dst, t, -1, 1, 1)
 	} else {
-		for mi, m := range p.Machines {
+		for mi := range p.Machines {
+			m := &p.Machines[mi]
 			if t.Machine != "" && t.Machine != m.Name {
 				continue
 			}
-			add(mi, m.Speed, m.PowerScale)
+			dst = p.appendLevelChoices(dst, t, mi, m.Speed, m.PowerScale)
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		x, y := out[a], out[b]
-		if x.Delay != y.Delay {
-			return x.Delay < y.Delay
+	out := dst[from:]
+	for a := 1; a < len(out); a++ {
+		for b := a; b > 0 && out[b].before(out[b-1]); b-- {
+			out[b], out[b-1] = out[b-1], out[b]
 		}
-		if x.Power != y.Power {
-			return x.Power < y.Power
+	}
+	return dst
+}
+
+// appendLevelChoices appends task t's admissible levels on machine mi
+// (-1: no machines) with the machine's speed and power scale.
+func (p *Problem) appendLevelChoices(dst []TaskChoice, t *Task, mi int, speed, scale float64) []TaskChoice {
+	for li, lvl := range levelsOf(*t) {
+		c := TaskChoice{
+			Machine: mi,
+			Level:   li,
+			Delay:   EffDelay(t.Delay, lvl.Mult, speed),
+			Power:   lvl.Power * scale,
 		}
-		if x.Machine != y.Machine {
-			return x.Machine < y.Machine
+		if p.Pmax != 0 && c.Power+p.BasePower > p.Pmax {
+			continue
 		}
-		return x.Level < y.Level
-	})
-	return out
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// before is the scheduler's preference order on one task's choices:
+// shorter delay, then lower power, then machine, then level index.
+func (x TaskChoice) before(y TaskChoice) bool {
+	if x.Delay != y.Delay {
+		return x.Delay < y.Delay
+	}
+	if x.Power != y.Power {
+		return x.Power < y.Power
+	}
+	if x.Machine != y.Machine {
+		return x.Machine < y.Machine
+	}
+	return x.Level < y.Level
 }
 
 // ChoiceFor resolves an assignment entry for task i into its concrete

@@ -36,7 +36,7 @@ func TestFig2TimingScheduleHasSpike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+	if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 		t.Fatalf("not time-valid: %v", err)
 	}
 	if len(r.Profile.Spikes(Pmax)) == 0 {
@@ -54,7 +54,7 @@ func TestFig5MaxPowerRemovesSpike(t *testing.T) {
 	if !r.Profile.Valid(Pmax) {
 		t.Fatalf("spikes remain: %v", r.Profile.Spikes(Pmax))
 	}
-	if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+	if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 		t.Fatalf("not time-valid: %v", err)
 	}
 }

@@ -104,7 +104,7 @@ func checkAnswer(st *state, memo *refProfile, q string, v int, t model.Time, got
 			return fmt.Errorf("stage claims time-valid %v, CheckTimeValidTasks says %v", got, want)
 		}
 		return nil
-	case "delay", "undo":
+	case "delay", "undo", "lock":
 		if err := checkDist(st, st.cur); err != nil {
 			return err
 		}
@@ -415,7 +415,7 @@ func TestAuditReachesEveryQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []string{"visit", "backtrack", "select", "slack", "gapcands", "timevalid", "delay", "undo",
+	kinds := []string{"visit", "backtrack", "select", "slack", "gapcands", "timevalid", "delay", "undo", "lock",
 		"profile", "validmax", "firstabove", "runendabove", "runendbelow", "rejects"}
 	for _, q := range kinds {
 		if checks[q] == 0 {

@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -17,14 +16,12 @@ import (
 // stage) and the power budget satisfied, until a fixpoint. The finish
 // time can only shrink. The working schedule is mutated in place.
 //
-// The timing-stage edges are read straight off the graph journal's
-// timing prefix and bucketed by head vertex (a CSR index built once per
-// pass set), so each task's leftward bound costs O(indegree) instead of
-// a scan over the whole edge set.
-//
-// After compaction the working graph is rebuilt from the timing-stage
-// edges plus one release edge per task, so the downstream min-power
-// machinery sees a consistent longest-path solution.
+// The working graph is first rolled back to the timing stage's edges,
+// so each task's leftward bound is a walk over its incoming edges; the
+// max-power stage's delay and lock edges are the ones compaction
+// replaces. After compaction one release edge per task pins the
+// compacted starts, so the downstream min-power machinery sees a
+// consistent longest-path solution.
 func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 	if st.timingMark == 0 {
 		return sigma
@@ -32,32 +29,7 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 	tasks := st.tasks
 	pmax := st.c.Prob.Pmax
 	st.syncProfile(sigma)
-
-	// CSR index over the timing-prefix edges, bucketed by head vertex.
-	// The journal prefix view stays valid: nothing below timingMark is
-	// rolled back before the final rebuild.
-	edges := st.g.JournalPrefix(st.timingMark)
-	nv := st.g.N()
-	pos := st.csrPos[:nv+1]
-	for i := range pos {
-		pos[i] = 0
-	}
-	for _, e := range edges {
-		pos[e.To+1]++
-	}
-	for v := 1; v <= nv; v++ {
-		pos[v] += pos[v-1]
-	}
-	if cap(st.csrEdge) < len(edges) {
-		st.csrEdge = make([]graph.Edge, len(edges))
-	}
-	ce := st.csrEdge[:len(edges)]
-	cur := st.csrCur[:nv]
-	copy(cur, pos[:nv])
-	for _, e := range edges {
-		ce[cur[e.To]] = e
-		cur[e.To]++
-	}
+	st.g.Rollback(st.timingMark)
 
 	// powerOK reports whether the current sigma respects the budget,
 	// probing the tracker (which follows every trial shift below) in O(1).
@@ -68,7 +40,7 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, v := range st.byStart(sigma, len(tasks)) {
-			lb := st.compactBound(sigma, pos, ce, v)
+			lb := st.compactBound(sigma, v)
 			if lb >= sigma.Start[v] {
 				continue
 			}
@@ -89,9 +61,7 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 		}
 	}
 
-	// Rebuild the working graph: timing-stage edges plus releases
-	// pinning the compacted starts from below.
-	st.g.Rollback(st.timingMark)
+	// Pin the compacted starts from below.
 	for v := range sigma.Start {
 		st.g.AddEdge(st.c.Anchor, v, sigma.Start[v])
 	}
@@ -99,13 +69,15 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 }
 
 // compactBound returns the earliest start of v permitted by the
-// timing-stage constraint edges, holding every other task fixed.
+// working graph's edges into v (the timing stage's, during compaction),
+// holding every other task fixed.
 // Only incoming edges bound a leftward move: outgoing min edges relax
 // and outgoing max edges (negative weights) stay satisfied as v moves
 // earlier.
-func (st *state) compactBound(sigma schedule.Schedule, pos []int, ce []graph.Edge, v int) model.Time {
+func (st *state) compactBound(sigma schedule.Schedule, v int) model.Time {
 	lb := model.Time(0)
-	for _, e := range ce[pos[v]:pos[v+1]] {
+	for id := st.g.FirstIn(v); id >= 0; id = st.g.NextIn(id) {
+		e := st.g.Edge(id)
 		var from model.Time
 		if e.From != st.c.Anchor {
 			from = sigma.Start[e.From]

@@ -32,7 +32,7 @@ func TestCompactRecoversStrandedIdle(t *testing.T) {
 	if compacted.Finish() > plain.Finish() {
 		t.Fatalf("compaction lengthened the schedule: %d -> %d", plain.Finish(), compacted.Finish())
 	}
-	if err := schedule.CheckTimeValid(compacted.Graph, compacted.Compiled, compacted.Schedule); err != nil {
+	if err := schedule.CheckTimeValid(compacted.Compiled.Base, compacted.Compiled, compacted.Schedule); err != nil {
 		t.Fatal(err)
 	}
 	if !compacted.Profile.Valid(p.Pmax) {
@@ -59,7 +59,7 @@ func TestQuickCompactNeverWorse(t *testing.T) {
 			t.Logf("seed %d: finish %d -> %d", seed, plain.Finish(), compacted.Finish())
 			return false
 		}
-		if err := schedule.CheckTimeValid(compacted.Graph, compacted.Compiled, compacted.Schedule); err != nil {
+		if err := schedule.CheckTimeValid(compacted.Compiled.Base, compacted.Compiled, compacted.Schedule); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -76,11 +76,11 @@ func TestQuickCompactNeverWorse(t *testing.T) {
 func TestCompactGraphStaysConsistent(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		p := genProblem(seed)
-		r, err := Run(p, Options{Compact: true})
+		r, g, err := finalGraph(p, Options{Compact: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		dist, ok := r.Graph.LongestFrom(r.Compiled.Anchor)
+		dist, ok := g.LongestFrom(r.Compiled.Anchor)
 		if !ok {
 			t.Fatalf("seed %d: final graph infeasible", seed)
 		}

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -110,4 +111,18 @@ func TimingRestart(p *model.Problem, opts Options, r int) (*Result, error) {
 		return nil, err
 	}
 	return st.result(sigma), nil
+}
+
+// finalGraph runs restart 0 of the full pipeline on a fresh state and
+// returns its result together with the working graph the run ended
+// on, whose longest-path solution the result's schedule must be.
+func finalGraph(p *model.Problem, opts Options) (*Result, *graph.Graph, error) {
+	c, err := schedule.Compile(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := newState(context.Background(), c, opts, nil)
+	st.reset(0)
+	res, err := st.runTo(stageMinPower)
+	return res, st.g, err
 }

@@ -58,6 +58,14 @@ func (x *gapIndex) mark(v int) {
 	}
 }
 
+// unqueue withdraws the tasks queued since the queue held k entries.
+func (x *gapIndex) unqueue(k int) {
+	for _, v := range x.queue[k:] {
+		x.ent[v].queued = false
+	}
+	x.queue = x.queue[:k]
+}
+
 // reachOf is the last gap time a task finishing at fin with the given
 // slack can be delayed into; InfiniteSlack saturates to +inf.
 func reachOf(fin, slack model.Time) model.Time {

@@ -14,8 +14,8 @@ import (
 // repeats until no spike remains. When a zero-slack task must be
 // delayed (case 2 of the paper's heuristics) the remaining simultaneous
 // tasks are locked at their start times so the rescheduling pass cannot
-// disturb them; if a lock or delay produces an infeasible graph it is
-// rolled back and another choice is tried.
+// disturb them; if a delay produces an infeasible graph it is rolled
+// back and another choice is tried.
 //
 // A Pmax of 0 means "no power budget": the time-valid schedule is
 // returned unchanged.
@@ -145,18 +145,15 @@ func (st *state) fixSpike(sigma schedule.Schedule, t model.Time) error {
 	// spike. The spike loop above exits immediately after the delay
 	// that cleared the spike (failed delays change nothing), so the
 	// active set here is exactly the paper's case (2) lock-candidate
-	// set captured after the last successful delay. Locks that would
-	// make the graph infeasible are undone; they are a heuristic, not a
-	// requirement.
+	// set captured after the last successful delay. A lock can never
+	// make the graph infeasible: sigma is the working longest-path
+	// solution, which already satisfies both lock edges (the anchor
+	// sits at 0), so it stays a solution of the locked graph — and its
+	// longest-path solution — with no positive cycle to detect.
 	if rescheduled && !st.opts.DisableLocks {
 		for _, cand := range st.activeBySlack(sigma, t) {
-			cp := st.g.Mark()
 			st.lock(cand.v, sigma.Start[cand.v])
-			if !st.g.LongestFromInto(st.feasBuf, st.c.Anchor) {
-				st.g.Rollback(cp)
-				st.dirtySlack(cand.v) // v lost the just-added outgoing lock edge
-				st.st.Backtracks++
-			}
+			audited(st, "lock", cand.v, sigma.Start[cand.v], true)
 		}
 	}
 	return nil

@@ -64,7 +64,7 @@ func TestQuickPipelineValidity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+		if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -147,11 +147,11 @@ func TestQuickTimingIsASAPLowerBound(t *testing.T) {
 func TestQuickFinalGraphPinsSchedule(t *testing.T) {
 	f := func(seed int64) bool {
 		p := genProblem(seed)
-		rf, err := MinPower(p, Options{})
+		rf, g, err := finalGraph(p, Options{})
 		if err != nil {
 			return false
 		}
-		dist, ok := rf.Graph.LongestFrom(rf.Compiled.Anchor)
+		dist, ok := g.LongestFrom(rf.Compiled.Anchor)
 		if !ok {
 			return false
 		}

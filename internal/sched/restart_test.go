@@ -24,7 +24,7 @@ func TestRestartsNeverWorse(t *testing.T) {
 			t.Errorf("seed %d: restarts worsened cost %.2f -> %.2f",
 				seed, one.EnergyCost(), multi.EnergyCost())
 		}
-		if err := schedule.CheckTimeValid(multi.Graph, multi.Compiled, multi.Schedule); err != nil {
+		if err := schedule.CheckTimeValid(multi.Compiled.Base, multi.Compiled, multi.Schedule); err != nil {
 			t.Errorf("seed %d: restart winner invalid: %v", seed, err)
 		}
 	}

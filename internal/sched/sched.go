@@ -165,9 +165,6 @@ type Result struct {
 	Compiled *schedule.Compiled
 	// Schedule holds the computed start times.
 	Schedule schedule.Schedule
-	// Graph is the final working constraint graph, including
-	// serialization, delay, and lock edges.
-	Graph *graph.Graph
 	// Profile is the schedule's power profile (including base power).
 	Profile power.Profile
 	// Stats describes the heuristic effort expended.
@@ -334,13 +331,6 @@ func runPipeline(ctx context.Context, p *model.Problem, opts Options, upTo stage
 			}
 			st.publish(res)
 			if localBest == nil || betterIdx(res, r, localBest, localIdx) {
-				if restarts > 1 {
-					// Detach the retained result from the state before
-					// the next restart mutates the working graph. (With
-					// a single restart the state is never reused, so the
-					// hot path skips the copy.)
-					res.Graph = st.g.Clone()
-				}
 				localBest, localIdx = res, r
 			}
 		}
@@ -525,9 +515,10 @@ type state struct {
 	assign model.Assignment
 	// machEFT, choiceOrdBufs, and choiceKey are scratch for the timing
 	// stage's earliest-finish choice ordering: machEFT is a per-machine
-	// completion bound, choiceOrdBufs holds one reusable ordering buffer
-	// per search depth (the recursion below a choice must not clobber
-	// the orderings of the depths above it), and choiceKey is the
+	// completion bound, choiceOrdBufs holds one ordering buffer per
+	// search depth, carved from one bank with room for the longest
+	// choice list (the recursion below a choice must not clobber the
+	// orderings of the depths above it), and choiceKey is the
 	// transient sort key, safe to share across depths because it is
 	// consumed before the recursion descends.
 	machEFT       []model.Time
@@ -555,7 +546,7 @@ type state struct {
 
 	// timingMark checkpoints the graph at the end of the timing stage
 	// (base constraints + serialization edges); the compaction pass
-	// validates leftward moves against exactly this journal prefix.
+	// rolls back to it and bounds leftward moves by its in-edges.
 	timingMark graph.Checkpoint
 
 	// Incremental core. tr mirrors the current working schedule's power
@@ -568,6 +559,15 @@ type state struct {
 	tr       *power.Tracker
 	slackVal []model.Time
 	slackOK  []bool
+	// moveMarked is set by applyMove and cleared by every other change
+	// to the slack cache (a recomputation, a lock, dirtySlackAll).
+	// While it holds, the last delay's invalidations are the only
+	// change since the delay: slackCleared lists the tasks whose cached
+	// slack they cleared and queueMark is the index queue's length
+	// before them, so undoDelay can withdraw them exactly.
+	moveMarked   bool
+	slackCleared []int
+	queueMark    int
 	// gi indexes the tasks by finish time and slack reach for the
 	// min-power stage's candidate query; the slack cache's invalidation
 	// feeds it (dirtySlack, dirtySlackAll).
@@ -605,7 +605,6 @@ type state struct {
 	visited   []bool        // timing search visit marks
 	heap      taskHeap      // timing search's unvisited tasks by (dist, prio)
 	order     startSorter   // allocation-free sort.Interface for compaction
-	feasBuf   []int         // lock feasibility probe output
 	active    []slackedTask // tasks active at a spike time
 	skipGen   []int         // epoch marks for fixSpike's skipped set
 	skipEpoch int
@@ -614,9 +613,6 @@ type state struct {
 	gapOrder  []int        // gap-fill candidates, selection-ordered
 	bestBuf   []model.Time // min-power best-schedule snapshot
 	comboBase []model.Time // min-power combo-entry schedule snapshot
-	csrPos    []int        // compact's CSR bucket offsets by head vertex
-	csrCur    []int        // compact's CSR fill cursors
-	csrEdge   []graph.Edge // compact's timing edges bucketed by head
 }
 
 func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atomic.Pointer[incumbent]) *state {
@@ -640,16 +636,23 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 	}
 	st.slackVal = make([]model.Time, n)
 	st.slackOK = make([]bool, n)
+	st.slackCleared = make([]int, 0, n)
 	st.delays = make([]model.Time, n)
 	st.dist = make([]int, st.g.N())
 	st.cur = make([]int, st.g.N())
-	st.feasBuf = make([]int, st.g.N())
 	st.visited = make([]bool, n)
 	st.heap = newTaskHeap(n)
 	st.gi = newGapIndex(n)
 	st.skipGen = make([]int, n)
-	st.csrPos = make([]int, st.g.N()+1)
-	st.csrCur = make([]int, st.g.N())
+	maxChoices := 0
+	for _, ch := range c.Choices {
+		maxChoices = max(maxChoices, len(ch))
+	}
+	ordBank := make([]int, n*maxChoices)
+	st.choiceOrdBufs = make([][]int, n)
+	for d := range st.choiceOrdBufs {
+		st.choiceOrdBufs[d] = ordBank[d*maxChoices : d*maxChoices : (d+1)*maxChoices]
+	}
 	if c.Hetero {
 		st.tasks = append([]model.Task(nil), c.Prob.Tasks...)
 		st.assign = make(model.Assignment, n)
@@ -701,7 +704,6 @@ func (st *state) result(sigma schedule.Schedule) *Result {
 		// Detach the schedule from the state's working bank: sigma views
 		// st.cur, which the next restart mutates in place.
 		Schedule: sigma.Clone(),
-		Graph:    st.g,
 		Profile:  power.Build(st.tasks, sigma, st.c.Prob.BasePower),
 		Stats:    st.st,
 		Tasks:    st.tasks,
@@ -751,6 +753,7 @@ func (st *state) lock(v int, t model.Time) {
 	st.g.AddEdge(st.c.Anchor, v, t)
 	st.g.AddEdge(v, st.c.Anchor, -t)
 	st.dirtySlack(v) // v gained an outgoing edge
+	st.moveMarked = false
 }
 
 // syncProfile (re)builds the incremental profile tracker onto sigma.
@@ -786,19 +789,26 @@ func (st *state) prof() power.Profile {
 // anchor is not a task.
 func (st *state) applyMove(changed []graph.DistSave) {
 	n := st.c.NumTasks()
+	st.slackCleared = st.slackCleared[:0]
+	st.queueMark = len(st.gi.queue)
 	for _, e := range changed {
 		if e.V < n {
 			st.tr.Move(e.V, st.cur[e.V])
 			st.dirtySlack(e.V)
 		}
 	}
+	st.moveMarked = true
 }
 
 // undoDelay reverses a successful delay the caller rejected, after the
 // caller rolled the graph back: the journal replays backwards into cur,
-// and the tracker and slack cache follow each restored task (the cache
-// entries may have been recomputed against the rejected schedule in
-// between).
+// and the tracker follows each restored task. If the slack cache and
+// the gap-candidate index changed only by the delay's invalidations
+// (moveMarked; the gap-fill probe asks them nothing), those are
+// withdrawn: cur and every task's outgoing edges are as before the
+// delay (the rolled-back edge leaves the anchor), so the cached slacks
+// and index placements are valid again. Otherwise the restored tasks
+// are invalidated like moved ones.
 func (st *state) undoDelay(changed []graph.DistSave) {
 	n := st.c.NumTasks()
 	for i := len(changed) - 1; i >= 0; i-- {
@@ -806,8 +816,17 @@ func (st *state) undoDelay(changed []graph.DistSave) {
 		st.cur[e.V] = e.Old
 		if e.V < n {
 			st.tr.Move(e.V, e.Old)
-			st.dirtySlack(e.V)
+			if !st.moveMarked {
+				st.dirtySlack(e.V)
+			}
 		}
+	}
+	if st.moveMarked {
+		for _, v := range st.slackCleared {
+			st.slackOK[v] = true
+		}
+		st.gi.unqueue(st.queueMark)
+		st.moveMarked = false
 	}
 	audited(st, "undo", 0, 0, true)
 }
@@ -816,14 +835,23 @@ func (st *state) undoDelay(changed []graph.DistSave) {
 // with an outgoing constraint edge into w, and queues each of them for
 // re-placement in the gap-candidate index.
 func (st *state) dirtySlack(w int) {
-	st.slackOK[w] = false
-	st.gi.mark(w)
-	for _, e := range st.g.In(w) {
-		if e.From != st.c.Anchor {
-			st.slackOK[e.From] = false
-			st.gi.mark(e.From)
+	st.clearSlack(w)
+	for id := st.g.FirstIn(w); id >= 0; id = st.g.NextIn(id) {
+		if u := st.g.Edge(id).From; u != st.c.Anchor {
+			st.clearSlack(u)
 		}
 	}
+}
+
+// clearSlack invalidates task v's cached slack, recording it in
+// slackCleared if it was valid, and queues v in the gap-candidate
+// index.
+func (st *state) clearSlack(v int) {
+	if st.slackOK[v] {
+		st.slackOK[v] = false
+		st.slackCleared = append(st.slackCleared, v)
+	}
+	st.gi.mark(v)
 }
 
 // dirtySlackAll invalidates every cached slack and the whole
@@ -834,6 +862,8 @@ func (st *state) dirtySlackAll() {
 		st.slackOK[i] = false
 	}
 	st.gi.rebuild = true
+	st.moveMarked = false
+	st.slackCleared = st.slackCleared[:0]
 }
 
 // pollCancel is the cooperative cancellation point of every heuristic
@@ -863,6 +893,7 @@ func (st *state) slackOf(sigma schedule.Schedule, v int) model.Time {
 	if !st.slackOK[v] {
 		st.slackVal[v] = schedule.Slack(st.g, st.c, sigma, v)
 		st.slackOK[v] = true
+		st.moveMarked = false
 	}
 	return audited(st, "slack", v, 0, st.slackVal[v])
 }

@@ -47,7 +47,7 @@ func mustMinPower(t *testing.T, p *model.Problem) *Result {
 
 func checkTimeValid(t *testing.T, r *Result) {
 	t.Helper()
-	if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+	if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 		t.Fatalf("schedule not time-valid: %v", err)
 	}
 }

@@ -173,11 +173,10 @@ func (st *state) timing() (schedule.Schedule, error) {
 // depths and cannot clobber it).
 func (st *state) choiceOrder(depth, c int, visited []bool, dist []int) []int {
 	choices := st.c.Choices[c]
-	ord := st.choiceOrdBuf(depth)
+	ord := st.choiceOrdBufs[depth][:0]
 	for i := range choices {
 		ord = append(ord, i)
 	}
-	st.choiceOrdBufs[depth] = ord
 	if len(choices) <= 1 {
 		return ord
 	}
@@ -212,12 +211,4 @@ func (st *state) choiceOrder(depth, c int, visited []bool, dist []int) []int {
 		}
 	}
 	return ord
-}
-
-// choiceOrdBuf returns depth's reusable choice-ordering buffer, emptied.
-func (st *state) choiceOrdBuf(depth int) []int {
-	for len(st.choiceOrdBufs) <= depth {
-		st.choiceOrdBufs = append(st.choiceOrdBufs, []int(nil))
-	}
-	return st.choiceOrdBufs[depth][:0]
 }

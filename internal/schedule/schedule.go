@@ -69,29 +69,15 @@ func Compile(p *model.Problem) (*Compiled, error) {
 		}
 		return c.Index[name]
 	}
-	// Size the base graph exactly before building it: one release edge
-	// per task plus one (or two, with a max bound) per constraint, so
-	// construction performs three bulk allocations instead of per-vertex
-	// append growth.
-	outDeg := make([]int, n+1)
-	inDeg := make([]int, n+1)
-	outDeg[c.Anchor] = n
-	for v := 0; v < n; v++ {
-		inDeg[v] = 1
-	}
-	edges := n
+	// Size the arena exactly: one release edge per task plus one (or
+	// two, with a max bound) per constraint.
+	edges := n + len(p.Constraints)
 	for _, con := range p.Constraints {
-		u, v := vertex(con.From), vertex(con.To)
-		outDeg[u]++
-		inDeg[v]++
-		edges++
 		if con.HasMax {
-			outDeg[v]++
-			inDeg[u]++
 			edges++
 		}
 	}
-	c.Base = graph.NewSized(n+1, outDeg, inDeg, edges)
+	c.Base = graph.New(n+1, edges)
 	for v := 0; v < n; v++ {
 		c.Base.AddEdge(c.Anchor, v, 0)
 	}
@@ -128,9 +114,18 @@ func Compile(p *model.Problem) (*Compiled, error) {
 	copy(c.resStart[1:], c.resStart[:c.NumRes])
 	c.resStart[0] = 0
 	c.Hetero = p.Heterogeneous()
+	// Every task's choices live in one bank sized for the most a task
+	// can have (machines x levels), so the sub-slices never move.
+	room := 0
+	for i := range p.Tasks {
+		room += max(1, len(p.Machines)) * max(1, len(p.Tasks[i].Levels))
+	}
+	bank := make([]model.TaskChoice, 0, room)
 	c.Choices = make([][]model.TaskChoice, n)
 	for i := range c.Choices {
-		c.Choices[i] = p.TaskChoices(i)
+		from := len(bank)
+		bank = p.AppendTaskChoices(bank, i)
+		c.Choices[i] = bank[from:len(bank):len(bank)]
 	}
 	return c, nil
 }
@@ -200,21 +195,13 @@ func Slack(g *graph.Graph, c *Compiled, s Schedule, v int) model.Time {
 		}
 		return s.Start[x]
 	}
-	for _, e := range g.Out(v) {
+	for id := g.FirstOut(v); id >= 0; id = g.NextOut(id) {
+		e := g.Edge(id)
 		if d := sigma(e.To) - sigma(v) - e.W; d < slack {
 			slack = d
 		}
 	}
 	return slack
-}
-
-// Slacks computes Slack for every task.
-func Slacks(g *graph.Graph, c *Compiled, s Schedule) []model.Time {
-	out := make([]model.Time, c.NumTasks())
-	for v := range out {
-		out[v] = Slack(g, c, s, v)
-	}
-	return out
 }
 
 // CheckTimeValid reports the first violated requirement of
@@ -246,8 +233,8 @@ func CheckTimeValidTasks(g *graph.Graph, c *Compiled, tasks []model.Task, s Sche
 			return fmt.Errorf("schedule: task %q starts at negative time %d", c.Prob.Tasks[i].Name, st)
 		}
 	}
-	for _, e := range g.Edges() {
-		if sigma(e.To) < sigma(e.From)+e.W {
+	for id := 0; id < g.NumEdges(); id++ {
+		if e := g.Edge(id); sigma(e.To) < sigma(e.From)+e.W {
 			return fmt.Errorf("schedule: constraint sigma(%s) >= sigma(%s)%+d violated (%d < %d)",
 				name(c, e.To), name(c, e.From), e.W, sigma(e.To), sigma(e.From)+e.W)
 		}

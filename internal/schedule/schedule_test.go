@@ -117,8 +117,8 @@ func TestSlackAgainstDeadline(t *testing.T) {
 	if got := Slack(c.Base, c, s, 0); got != 5 {
 		t.Fatalf("Slack(a) = %d, want 5", got)
 	}
-	if all := Slacks(c.Base, c, s); all[0] != 5 || all[1] != InfiniteSlack {
-		t.Fatalf("Slacks = %v", all)
+	if got := Slack(c.Base, c, s, 1); got != InfiniteSlack {
+		t.Fatalf("Slack(b) = %d, want InfiniteSlack", got)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestStressLargeInstances(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := schedule.CheckTimeValid(r.Graph, r.Compiled, r.Schedule); err != nil {
+			if err := schedule.CheckTimeValid(r.Compiled.Base, r.Compiled, r.Schedule); err != nil {
 				t.Fatal(err)
 			}
 			if rep := impacct.Verify(p, r.Schedule); !rep.OK() {
