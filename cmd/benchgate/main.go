@@ -13,9 +13,9 @@
 //
 // Benchmarks are matched by name with the -cpu suffix stripped
 // (BenchmarkPipeline200-8 and BenchmarkPipeline200-4 compare). With
-// -count > 1 the minimum per name is used for both metrics: the
-// minimum is the run least disturbed by scheduler noise, which keeps
-// the gate from flagging phantom regressions on shared CI machines.
+// -count > 1 each metric is the minimum per name (internal/benchfmt),
+// which keeps the gate from flagging phantom regressions on shared CI
+// machines.
 //
 // A base file with no matching benchmarks (the merge-base predates the
 // benchmark suite) passes with a notice, so the gate can be enabled in
@@ -40,15 +40,15 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"regexp"
 	"runtime"
-	"strconv"
-	"strings"
+	"sort"
+
+	"repro/internal/benchfmt"
 )
 
 func main() {
@@ -72,21 +72,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := parseFile(*baseFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+	var base, head benchfmt.Set
+	err = base.ReadFile(*baseFile)
+	if err == nil {
+		err = head.ReadFile(*headFile)
 	}
-	head, err := parseFile(*headFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
 
-	verdicts, failed := gate(base, head, re, *maxRegress, *maxAllocRegress)
+	verdicts, failed := gate(base.Samples, head.Samples, re, *maxRegress, *maxAllocRegress)
 	var sv *speedupVerdict
 	if *minSpeedup > 0 {
-		sv = speedupGate(head, *speedupSlow, *speedupFast, *minSpeedup, runtime.NumCPU())
+		sv = speedupGate(head.Samples, *speedupSlow, *speedupFast, *minSpeedup, runtime.NumCPU())
 		if sv.Failed {
 			failed = true
 		}
@@ -135,13 +134,6 @@ func main() {
 	fmt.Println("benchgate: ok")
 }
 
-// sample is one benchmark's metrics, minimized across repeated runs.
-// allocs is -1 when the run did not report allocations.
-type sample struct {
-	ns     float64
-	allocs float64
-}
-
 // speedupVerdict is the head-only parallel-speedup gate's outcome: the
 // fast variant of a benchmark pair must beat the slow one by at least
 // Min = PerCPU × min(CPUs, width). Unlike the regression gates it
@@ -164,18 +156,17 @@ type speedupVerdict struct {
 // width — the trailing -N of its name (BenchmarkCampaign/pooled-8 → 8).
 // A name without one is not capped.
 func minSpeedupFor(perCPU float64, cpus int, fast string) float64 {
-	if m := cpuSuffix.FindString(fast); m != "" {
-		if width, err := strconv.Atoi(m[1:]); err == nil && width > 0 {
-			cpus = min(cpus, width)
-		}
+	if _, width := benchfmt.SplitSuffix(fast); width > 0 {
+		cpus = min(cpus, width)
 	}
 	return perCPU * float64(cpus)
 }
 
-// speedupGate checks head[slow].ns / head[fast].ns against the bound
-// minSpeedupFor(perCPU, cpus, fast). Missing benchmarks fail: the pair
-// must exist so the gate cannot be disabled by deleting its inputs.
-func speedupGate(head map[string]sample, slow, fast string, perCPU float64, cpus int) *speedupVerdict {
+// speedupGate checks head[slow].NsPerOp / head[fast].NsPerOp against
+// the bound minSpeedupFor(perCPU, cpus, fast). Missing benchmarks fail:
+// the pair must exist so the gate cannot be disabled by deleting its
+// inputs.
+func speedupGate(head map[string]benchfmt.Sample, slow, fast string, perCPU float64, cpus int) *speedupVerdict {
 	bound := minSpeedupFor(perCPU, cpus, fast)
 	sv := &speedupVerdict{Slow: slow, Fast: fast, PerCPU: perCPU, CPUs: cpus, Min: bound}
 	s, okS := head[slow]
@@ -188,7 +179,7 @@ func speedupGate(head map[string]sample, slow, fast string, perCPU float64, cpus
 		sv.Failed = true
 		sv.Note = fmt.Sprintf("speedup gate: head output is missing %q or %q", slow, fast)
 	default:
-		sv.Ratio = s.ns / f.ns
+		sv.Ratio = s.NsPerOp / f.NsPerOp
 		if sv.Ratio < bound {
 			sv.Failed = true
 			sv.Note = fmt.Sprintf("SPEEDUP FAIL: %s/%s = %.2fx, want >= %.2fx (%.2f per CPU, %d CPUs)", slow, fast, sv.Ratio, bound, perCPU, cpus)
@@ -215,47 +206,47 @@ type verdict struct {
 // deleted benchmark must not disable its own regression check), and so
 // does a benchmark that reported allocations in base but not in head
 // (dropping ReportAllocs must not disable the allocation gate).
-func gate(base, head map[string]sample, re *regexp.Regexp, maxRegress, maxAllocRegress float64) ([]verdict, bool) {
+func gate(base, head map[string]benchfmt.Sample, re *regexp.Regexp, maxRegress, maxAllocRegress float64) ([]verdict, bool) {
 	var names []string
 	for name := range base {
 		if re.MatchString(name) {
 			names = append(names, name)
 		}
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	var out []verdict
 	failed := false
 	for _, name := range names {
 		b := base[name]
 		h, ok := head[name]
 		if !ok {
-			out = append(out, verdict{Name: name, BaseNs: b.ns, BaseAllocs: b.allocs, HeadAllocs: -1, Mark: "MISSING"})
+			out = append(out, verdict{Name: name, BaseNs: b.NsPerOp, BaseAllocs: b.AllocsPerOp, HeadAllocs: -1, Mark: "MISSING"})
 			failed = true
 			continue
 		}
 		v := verdict{
 			Name:   name,
-			BaseNs: b.ns, HeadNs: h.ns, NsDelta: h.ns/b.ns - 1,
-			BaseAllocs: b.allocs, HeadAllocs: h.allocs,
+			BaseNs: b.NsPerOp, HeadNs: h.NsPerOp, NsDelta: h.NsPerOp/b.NsPerOp - 1,
+			BaseAllocs: b.AllocsPerOp, HeadAllocs: h.AllocsPerOp,
 		}
 		if v.NsDelta > maxRegress {
 			v.Mark = "REGRESSION"
 			failed = true
 		}
-		if maxAllocRegress >= 0 && b.allocs >= 0 {
+		if maxAllocRegress >= 0 && b.AllocsPerOp >= 0 {
 			switch {
-			case h.allocs < 0:
+			case h.AllocsPerOp < 0:
 				v.Mark = "NO ALLOCS"
 				failed = true
-			case b.allocs == 0:
+			case b.AllocsPerOp == 0:
 				// A zero-alloc benchmark must stay zero-alloc: any
 				// relative threshold on a zero base is meaningless.
-				if h.allocs > 0 {
+				if h.AllocsPerOp > 0 {
 					v.Mark = "ALLOC REGRESSION"
 					failed = true
 				}
 			default:
-				v.AllocDelta = h.allocs/b.allocs - 1
+				v.AllocDelta = h.AllocsPerOp/b.AllocsPerOp - 1
 				if v.AllocDelta > maxAllocRegress {
 					v.Mark = "ALLOC REGRESSION"
 					failed = true
@@ -265,72 +256,4 @@ func gate(base, head map[string]sample, re *regexp.Regexp, maxRegress, maxAllocR
 		out = append(out, v)
 	}
 	return out, failed
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func parseFile(path string) (map[string]sample, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[string]sample{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		name, s, ok := parseLine(sc.Text())
-		if !ok {
-			continue
-		}
-		prev, seen := out[name]
-		if !seen {
-			out[name] = s
-			continue
-		}
-		// Minimize each metric independently across repeated runs.
-		if s.ns < prev.ns {
-			prev.ns = s.ns
-		}
-		if s.allocs >= 0 && (prev.allocs < 0 || s.allocs < prev.allocs) {
-			prev.allocs = s.allocs
-		}
-		out[name] = prev
-	}
-	return out, sc.Err()
-}
-
-// cpuSuffix strips the trailing -<GOMAXPROCS> go test appends to
-// benchmark names.
-var cpuSuffix = regexp.MustCompile(`-\d+$`)
-
-// parseLine extracts the metrics from one `go test -bench` result
-// line, e.g. "BenchmarkPipeline200-8   3   7606484 ns/op   5953128 B/op   19354 allocs/op".
-func parseLine(line string) (string, sample, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", sample{}, false
-	}
-	s := sample{ns: -1, allocs: -1}
-	for i := 2; i+1 < len(fields); i++ {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "ns/op":
-			s.ns = v
-		case "allocs/op":
-			s.allocs = v
-		}
-	}
-	if s.ns < 0 {
-		return "", sample{}, false
-	}
-	return cpuSuffix.ReplaceAllString(fields[0], ""), s, true
 }

@@ -2,59 +2,40 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-)
 
-func TestParseLine(t *testing.T) {
-	name, s, ok := parseLine("BenchmarkPipeline200-8   \t       3\t   7606484 ns/op\t 5953128 B/op\t   19354 allocs/op")
-	if !ok || name != "BenchmarkPipeline200" || s.ns != 7606484 || s.allocs != 19354 {
-		t.Fatalf("got (%q, %+v, %v)", name, s, ok)
-	}
-	if _, _, ok := parseLine("goos: linux"); ok {
-		t.Error("header line parsed as a benchmark")
-	}
-	if _, _, ok := parseLine("ok  \trepro/internal/benchkit\t8.014s"); ok {
-		t.Error("trailer line parsed as a benchmark")
-	}
-	// Sub-benchmark names and fractional ns/op survive; a line without
-	// allocation reporting marks allocs as unreported.
-	name, s, ok = parseLine("BenchmarkCampaign/pooled-4-8  5  583.5 ns/op")
-	if !ok || name != "BenchmarkCampaign/pooled-4" || s.ns != 583.5 || s.allocs != -1 {
-		t.Fatalf("got (%q, %+v, %v)", name, s, ok)
-	}
-}
+	"repro/internal/benchfmt"
+)
 
 func TestGate(t *testing.T) {
 	re := regexp.MustCompile(`^BenchmarkPipeline`)
-	base := map[string]sample{
-		"BenchmarkPipeline50":  {ns: 1000, allocs: 100},
-		"BenchmarkPipeline200": {ns: 2000, allocs: 200},
-		"BenchmarkOther":       {ns: 1, allocs: 1},
+	base := map[string]benchfmt.Sample{
+		"BenchmarkPipeline50":  {NsPerOp: 1000, AllocsPerOp: 100},
+		"BenchmarkPipeline200": {NsPerOp: 2000, AllocsPerOp: 200},
+		"BenchmarkOther":       {NsPerOp: 1, AllocsPerOp: 1},
 	}
 
 	// Within tolerance (+10% ns, +5% allocs) passes; unmatched names
 	// are ignored.
-	head := map[string]sample{
-		"BenchmarkPipeline50":  {ns: 1100, allocs: 105},
-		"BenchmarkPipeline200": {ns: 1900, allocs: 200},
-		"BenchmarkOther":       {ns: 99, allocs: 9999},
+	head := map[string]benchfmt.Sample{
+		"BenchmarkPipeline50":  {NsPerOp: 1100, AllocsPerOp: 105},
+		"BenchmarkPipeline200": {NsPerOp: 1900, AllocsPerOp: 200},
+		"BenchmarkOther":       {NsPerOp: 99, AllocsPerOp: 9999},
 	}
 	if v, failed := gate(base, head, re, 0.15, 0.10); failed || len(v) != 2 {
 		t.Fatalf("tolerated regression failed the gate: %+v", v)
 	}
 
 	// +20% ns/op on one benchmark fails.
-	head["BenchmarkPipeline200"] = sample{ns: 2400, allocs: 200}
+	head["BenchmarkPipeline200"] = benchfmt.Sample{NsPerOp: 2400, AllocsPerOp: 200}
 	if _, failed := gate(base, head, re, 0.15, 0.10); !failed {
 		t.Fatal("+20% ns/op regression passed the gate")
 	}
 
 	// +20% allocs/op with flat ns/op fails the allocation gate.
-	head["BenchmarkPipeline200"] = sample{ns: 2000, allocs: 240}
+	head["BenchmarkPipeline200"] = benchfmt.Sample{NsPerOp: 2000, AllocsPerOp: 240}
 	if _, failed := gate(base, head, re, 0.15, 0.10); !failed {
 		t.Fatal("+20% allocs/op regression passed the gate")
 	}
@@ -65,25 +46,25 @@ func TestGate(t *testing.T) {
 
 	// Dropping allocation reporting from head fails (the gate must not
 	// be disabled by removing ReportAllocs).
-	head["BenchmarkPipeline200"] = sample{ns: 2000, allocs: -1}
+	head["BenchmarkPipeline200"] = benchfmt.Sample{NsPerOp: 2000, AllocsPerOp: -1}
 	if _, failed := gate(base, head, re, 0.15, 0.10); !failed {
 		t.Fatal("missing head allocs passed the gate")
 	}
 	// A base without allocation reporting gates ns/op only.
-	base["BenchmarkPipeline200"] = sample{ns: 2000, allocs: -1}
+	base["BenchmarkPipeline200"] = benchfmt.Sample{NsPerOp: 2000, AllocsPerOp: -1}
 	if _, failed := gate(base, head, re, 0.15, 0.10); failed {
 		t.Fatal("alloc-free base failed the allocation gate")
 	}
-	base["BenchmarkPipeline200"] = sample{ns: 2000, allocs: 200}
+	base["BenchmarkPipeline200"] = benchfmt.Sample{NsPerOp: 2000, AllocsPerOp: 200}
 
 	// A zero-alloc benchmark must stay zero-alloc.
-	base["BenchmarkPipeline50"] = sample{ns: 1000, allocs: 0}
-	head["BenchmarkPipeline50"] = sample{ns: 1000, allocs: 1}
+	base["BenchmarkPipeline50"] = benchfmt.Sample{NsPerOp: 1000, AllocsPerOp: 0}
+	head["BenchmarkPipeline50"] = benchfmt.Sample{NsPerOp: 1000, AllocsPerOp: 1}
 	if _, failed := gate(base, head, re, 0.15, 0.10); !failed {
 		t.Fatal("zero-alloc benchmark gaining an allocation passed the gate")
 	}
-	head["BenchmarkPipeline50"] = sample{ns: 1000, allocs: 0}
-	head["BenchmarkPipeline200"] = sample{ns: 2000, allocs: 200}
+	head["BenchmarkPipeline50"] = benchfmt.Sample{NsPerOp: 1000, AllocsPerOp: 0}
+	head["BenchmarkPipeline200"] = benchfmt.Sample{NsPerOp: 2000, AllocsPerOp: 200}
 
 	// A gated benchmark deleted from head fails.
 	delete(head, "BenchmarkPipeline200")
@@ -92,34 +73,15 @@ func TestGate(t *testing.T) {
 	}
 
 	// No matching base benchmarks: nothing to gate, passes.
-	if v, failed := gate(map[string]sample{"BenchmarkOther": {ns: 1}}, head, re, 0.15, 0.10); failed || len(v) != 0 {
+	if v, failed := gate(map[string]benchfmt.Sample{"BenchmarkOther": {NsPerOp: 1}}, head, re, 0.15, 0.10); failed || len(v) != 0 {
 		t.Fatalf("empty base did not pass cleanly: %+v", v)
 	}
 }
 
-func TestParseFileMinimizesPerMetric(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "head.bench")
-	data := "goos: linux\n" +
-		"BenchmarkPipeline50-8  10  120 ns/op  900 B/op  11 allocs/op\n" +
-		"BenchmarkPipeline50-8  10  100 ns/op  950 B/op  12 allocs/op\n" +
-		"BenchmarkPipeline50-8  10  110 ns/op\n" +
-		"ok  \trepro/internal/benchkit\t8.014s\n"
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := parseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out["BenchmarkPipeline50"]; got.ns != 100 || got.allocs != 11 {
-		t.Fatalf("per-metric minimum not kept: %+v", got)
-	}
-}
-
 func TestSpeedupGate(t *testing.T) {
-	head := map[string]sample{
-		"BenchmarkCampaign/sequential": {ns: 3000, allocs: 100},
-		"BenchmarkCampaign/pooled-8":   {ns: 900, allocs: 100},
+	head := map[string]benchfmt.Sample{
+		"BenchmarkCampaign/sequential": {NsPerOp: 3000, AllocsPerOp: 100},
+		"BenchmarkCampaign/pooled-8":   {NsPerOp: 900, AllocsPerOp: 100},
 	}
 	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
 
@@ -130,7 +92,7 @@ func TestSpeedupGate(t *testing.T) {
 	}
 
 	// Below the bound fails.
-	head[fast] = sample{ns: 1500, allocs: 100}
+	head[fast] = benchfmt.Sample{NsPerOp: 1500, AllocsPerOp: 100}
 	if sv := speedupGate(head, slow, fast, 0.75, 4); !sv.Failed {
 		t.Fatalf("2x speedup passed a 3x gate: %+v", sv)
 	}
@@ -152,9 +114,9 @@ func TestSpeedupGate(t *testing.T) {
 // bound — 1.72x passes 1.5x on 2 CPUs, 1.4x fails it — and the JSON
 // verdict carries the CPU count and the bound it applied.
 func TestSpeedupGateSkipIsLoud(t *testing.T) {
-	head := map[string]sample{
-		"BenchmarkCampaign/sequential": {ns: 1720},
-		"BenchmarkCampaign/pooled-8":   {ns: 1000},
+	head := map[string]benchfmt.Sample{
+		"BenchmarkCampaign/sequential": {NsPerOp: 1720},
+		"BenchmarkCampaign/pooled-8":   {NsPerOp: 1000},
 	}
 	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
 	sv := speedupGate(head, slow, fast, 0.75, 2)
@@ -168,7 +130,7 @@ func TestSpeedupGateSkipIsLoud(t *testing.T) {
 	if !strings.Contains(string(data), `"cpus":2`) || !strings.Contains(string(data), `"min":1.5`) {
 		t.Fatalf("JSON verdict does not report the scaled bound: %s", data)
 	}
-	head[fast] = sample{ns: 1230}
+	head[fast] = benchfmt.Sample{NsPerOp: 1230}
 	if sv := speedupGate(head, slow, fast, 0.75, 2); !sv.Failed {
 		t.Fatalf("1.4x passed the 2-CPU bound of 1.5x: %+v", sv)
 	}

@@ -7,7 +7,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -64,12 +63,8 @@ func SweepGrid(p *model.Problem, pmaxs, pmins []float64, opts sched.Options) []P
 }
 
 func run(q *model.Problem, opts sched.Options) Point {
-	return runCtx(context.Background(), q, opts)
-}
-
-func runCtx(ctx context.Context, q *model.Problem, opts sched.Options) Point {
 	pt := Point{Pmax: q.Pmax, Pmin: q.Pmin}
-	r, err := sched.RunCtx(ctx, q, opts)
+	r, err := sched.Run(q, opts)
 	if err != nil {
 		pt.Err = err
 		return pt

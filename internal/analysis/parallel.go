@@ -8,50 +8,6 @@ import (
 	"repro/internal/service"
 )
 
-// SweepGridParallel evaluates the same design points as SweepGrid on a
-// bounded worker pool (every scheduler run is independent, so
-// exploration parallelizes trivially). Results are returned in the
-// same order as the sequential sweep. workers <= 0 selects GOMAXPROCS.
-func SweepGridParallel(p *model.Problem, pmaxs, pmins []float64, opts sched.Options, workers int) []Point {
-	return SweepGridParallelCtx(context.Background(), p, pmaxs, pmins, opts, workers)
-}
-
-// SweepGridParallelCtx is SweepGridParallel under a context. Once ctx
-// is done, running points abort inside the pipeline and unstarted
-// points are never submitted; every point that did not complete carries
-// the context's error in its Err field, so a partial sweep is
-// distinguishable point by point.
-func SweepGridParallelCtx(ctx context.Context, p *model.Problem, pmaxs, pmins []float64, opts sched.Options, workers int) []Point {
-	type job struct {
-		pmax, pmin float64
-	}
-	var jobs []job
-	for _, pm := range pmaxs {
-		for _, pn := range pmins {
-			if pn > pm {
-				continue
-			}
-			jobs = append(jobs, job{pmax: pm, pmin: pn})
-		}
-	}
-	out := make([]Point, len(jobs))
-	ran := make([]bool, len(jobs))
-	err := service.NewPool(workers).ForEachCtx(ctx, len(jobs), func(i int) {
-		ran[i] = true
-		q := p.Clone()
-		q.Pmax, q.Pmin = jobs[i].pmax, jobs[i].pmin
-		out[i] = runCtx(ctx, q, opts)
-	})
-	if err != nil {
-		for i := range out {
-			if !ran[i] {
-				out[i] = Point{Pmax: jobs[i].pmax, Pmin: jobs[i].pmin, Err: err}
-			}
-		}
-	}
-	return out
-}
-
 // SweepPmaxParallel is SweepPmax submitted through a scheduling
 // service: design points are evaluated concurrently on the service's
 // worker pool, and each point's schedule lands in (or is served from)
@@ -61,8 +17,9 @@ func SweepPmaxParallel(p *model.Problem, budgets []float64, opts sched.Options, 
 	return SweepPmaxParallelCtx(context.Background(), p, budgets, opts, svc)
 }
 
-// SweepPmaxParallelCtx is SweepPmaxParallel under a context; see
-// SweepGridParallelCtx for the partial-sweep contract.
+// SweepPmaxParallelCtx is SweepPmaxParallel under a context. Once ctx
+// is done, unfinished points carry the context's error in their Err
+// field, so a partial sweep is distinguishable point by point.
 func SweepPmaxParallelCtx(ctx context.Context, p *model.Problem, budgets []float64, opts sched.Options, svc *service.Service) []Point {
 	if svc == nil {
 		svc = service.Shared()

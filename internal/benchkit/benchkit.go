@@ -18,8 +18,8 @@ import (
 	"repro/internal/schedule"
 )
 
-// Sizes is the canonical instance ladder the scheduler benchmarks and
-// cmd/bench run: small enough to iterate quickly, large enough that
+// Sizes is the canonical instance ladder the scheduler benchmarks
+// run: small enough to iterate quickly, large enough that
 // asymptotics show. The 5000- and 10000-task rungs are the scale tier —
 // seconds, not milliseconds, per pipeline run — exercised by the
 // nightly benchmarks and gated behind BENCH_FULL_LADDER in the

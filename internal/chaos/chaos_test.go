@@ -318,9 +318,15 @@ func TestDrainHandoff(t *testing.T) {
 	}
 	// Shard b answered a's keys with X-Handoff-Owner set and ships the
 	// records asynchronously; the drained-but-alive owner ingests them.
+	deadline := time.Now().Add(5 * time.Second)
 	waitFor(t, "handoff records received by drained owner", 5*time.Second, func() bool {
 		return a.srv.Service().Stats().HandoffsReceived > before.HandoffsReceived
 	})
+	// The sender counts a shipment only once the owner's response is
+	// back, which can be after the owner has counted it as received.
+	for time.Now().Before(deadline) && b.srv.Service().Stats().HandoffsSent == 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := b.srv.Service().Stats().HandoffsSent; got == 0 {
 		t.Errorf("handoffs_sent=0 on the answering shard, want > 0")
 	}

@@ -19,6 +19,7 @@ func BenchmarkExecute(b *testing.B) {
 	}
 	par := rover.Table2(rover.Worst)
 	sup := power.Supply{Solar: power.NewSolar(par.Solar)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bat := power.Battery{MaxPower: par.BatteryMax}

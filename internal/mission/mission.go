@@ -7,6 +7,7 @@
 package mission
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/model"
@@ -134,48 +135,14 @@ func Simulate(cfg Config) (Report, error) {
 	if maxIter == 0 {
 		maxIter = 10000
 	}
-	cfg.Policy.Reset()
-
-	rep := Report{Policy: cfg.Policy.Name(), Phases: make([]PhaseReport, len(cfg.Phases))}
-	for i := range rep.Phases {
-		rep.Phases[i].Cond = cfg.Phases[i].Cond
-	}
-
-	var t model.Time
-	steps := 0
-	for iter := 0; steps < cfg.TargetSteps; iter++ {
-		if iter >= maxIter {
-			return rep, fmt.Errorf("mission: exceeded %d iterations at %d/%d steps", maxIter, steps, cfg.TargetSteps)
-		}
-		pi := phaseAt(cfg.Phases, t)
-		cond := cfg.Phases[pi].Cond
-		it, err := cfg.Policy.Next(cond)
-		if err != nil {
-			return rep, fmt.Errorf("mission: t=%d: %w", t, err)
-		}
-		if it.Duration <= 0 || it.Steps <= 0 {
-			return rep, fmt.Errorf("mission: policy returned a degenerate iteration %+v", it)
-		}
-		if cfg.Battery != nil {
-			if err := cfg.Battery.Draw(it.EnergyCost); err != nil {
-				rep.TotalSeconds = t
-				rep.TotalSteps = steps
-				return rep, fmt.Errorf("mission: t=%d: %w", t, err)
-			}
-		}
-		rep.Phases[pi].Steps += it.Steps
-		rep.Phases[pi].Seconds += it.Duration
-		rep.Phases[pi].EnergyCost += it.EnergyCost
-		t += it.Duration
-		steps += it.Steps
-	}
-	rep.TotalSteps = steps
-	rep.TotalSeconds = t
-	for _, ph := range rep.Phases {
-		rep.TotalCost += ph.EnergyCost
-	}
-	if cfg.Battery != nil {
-		rep.BatteryDrawn = cfg.Battery.Drawn()
+	rep, exhausted, err := fly(cfg.Phases, cfg.Policy, cfg.Battery, cfg.TargetSteps, maxIter)
+	switch {
+	case errors.Is(err, errMaxIterations):
+		return rep, fmt.Errorf("mission: exceeded %d iterations at %d/%d steps", maxIter, rep.TotalSteps, cfg.TargetSteps)
+	case err != nil:
+		return rep, err
+	case exhausted != nil:
+		return rep, fmt.Errorf("mission: t=%d: %w", rep.TotalSeconds, exhausted)
 	}
 	return rep, nil
 }
@@ -196,40 +163,60 @@ func Range(phases []Phase, policy Policy, bat *power.Battery, maxIterations int)
 	if maxIterations == 0 {
 		maxIterations = 100000
 	}
-	policy.Reset()
+	rep, _, err := fly(phases, policy, bat, 0, maxIterations)
+	if errors.Is(err, errMaxIterations) {
+		return rep, fmt.Errorf("mission: exceeded %d iterations with battery remaining", maxIterations)
+	}
+	return rep, err
+}
 
-	rep := Report{Policy: policy.Name(), Phases: make([]PhaseReport, len(phases))}
+// errMaxIterations stops fly at its iteration cap; Simulate and Range
+// each report it in their own words.
+var errMaxIterations = errors.New("mission: iteration cap reached")
+
+// fly is the mission loop Simulate and Range share. It resets the
+// policy and flies one iteration at a time under the condition in
+// force at the iteration's start, debiting bat when it is non-nil,
+// until target steps are covered (target <= 0: no target) or bat
+// cannot cover the next iteration. That draw's error comes back as
+// exhausted, with the report covering the iterations before it.
+func fly(phases []Phase, policy Policy, bat *power.Battery, target, maxIter int) (rep Report, exhausted, err error) {
+	policy.Reset()
+	rep = Report{Policy: policy.Name(), Phases: make([]PhaseReport, len(phases))}
 	for i := range rep.Phases {
 		rep.Phases[i].Cond = phases[i].Cond
 	}
-	var t model.Time
-	for iter := 0; ; iter++ {
-		if iter >= maxIterations {
-			return rep, fmt.Errorf("mission: exceeded %d iterations with battery remaining", maxIterations)
+	for iter := 0; target <= 0 || rep.TotalSteps < target; iter++ {
+		if iter >= maxIter {
+			return rep, nil, errMaxIterations
 		}
+		t := rep.TotalSeconds
 		pi := phaseAt(phases, t)
 		it, err := policy.Next(phases[pi].Cond)
 		if err != nil {
-			return rep, fmt.Errorf("mission: t=%d: %w", t, err)
+			return rep, nil, fmt.Errorf("mission: t=%d: %w", t, err)
 		}
 		if it.Duration <= 0 || it.Steps <= 0 {
-			return rep, fmt.Errorf("mission: policy returned a degenerate iteration %+v", it)
+			return rep, nil, fmt.Errorf("mission: policy returned a degenerate iteration %+v", it)
 		}
-		if err := bat.Draw(it.EnergyCost); err != nil {
-			break // battery exhausted: the mission ends here
+		if bat != nil {
+			if exhausted = bat.Draw(it.EnergyCost); exhausted != nil {
+				break
+			}
 		}
 		rep.Phases[pi].Steps += it.Steps
 		rep.Phases[pi].Seconds += it.Duration
 		rep.Phases[pi].EnergyCost += it.EnergyCost
 		rep.TotalSteps += it.Steps
-		t += it.Duration
+		rep.TotalSeconds += it.Duration
 	}
-	rep.TotalSeconds = t
 	for _, ph := range rep.Phases {
 		rep.TotalCost += ph.EnergyCost
 	}
-	rep.BatteryDrawn = bat.Drawn()
-	return rep, nil
+	if bat != nil {
+		rep.BatteryDrawn = bat.Drawn()
+	}
+	return rep, exhausted, nil
 }
 
 // JPLPolicy replays the fixed, fully serialized baseline schedule

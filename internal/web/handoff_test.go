@@ -223,6 +223,14 @@ func TestHandoffShipsOnOwnerHeader(t *testing.T) {
 	if ownerStore.Len() != 1 {
 		t.Errorf("owner store holds %d records, want 1", ownerStore.Len())
 	}
+	// The sender counts a shipment only once the owner's response is
+	// back, which can be after the owner has counted it as received.
+	for time.Now().Before(deadline) {
+		if answering.Service().Stats().HandoffsSent > 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := answering.Service().Stats().HandoffsSent; got != 1 {
 		t.Errorf("answering shard handoffs_sent=%d, want 1", got)
 	}
