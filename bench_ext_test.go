@@ -102,7 +102,7 @@ func BenchmarkExecuteMission(b *testing.B) {
 	sol.AddPhase(1200, 9)
 	sup := power.Supply{Solar: sol}
 	for _, offset := range []int{0, 600, 1200} {
-		b.Run(fmt.Sprintf("offset-%d", offset), func(b *testing.B) {
+		b.Run(fmt.Sprintf("offset=%d", offset), func(b *testing.B) {
 			c := rover.Worst
 			switch offset {
 			case 0:
@@ -168,7 +168,7 @@ func BenchmarkListBaseline(b *testing.B) {
 // optimum on small random instances.
 func BenchmarkAblationRestarts(b *testing.B) {
 	for _, restarts := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("restarts-%d", restarts), func(b *testing.B) {
+		b.Run(fmt.Sprintf("restarts=%d", restarts), func(b *testing.B) {
 			var gap, runs float64
 			for i := 0; i < b.N; i++ {
 				gap, runs = 0, 0

@@ -245,7 +245,7 @@ func BenchmarkAblationLocks(b *testing.B) {
 // random layered constraint graphs.
 func BenchmarkScaling(b *testing.B) {
 	for _, n := range []int{10, 25, 50, 100, 200} {
-		b.Run(fmt.Sprintf("tasks-%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
 			p := analysis.Generate(analysis.GenConfig{Tasks: n, Seed: 42})
 			b.ResetTimer()
 			var r *impacct.Result

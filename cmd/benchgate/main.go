@@ -18,8 +18,9 @@
 // machines.
 //
 // A base file with no matching benchmarks (the merge-base predates the
-// benchmark suite) passes with a notice, so the gate can be enabled in
-// the same PR that introduces the benchmarks. A benchmark that stopped
+// benchmark suite) passes the regression gates with a notice, so the
+// gate can be enabled in the same PR that introduces the benchmarks;
+// the head-only speedup gate is enforced all the same. A benchmark that stopped
 // reporting allocations skips the allocation gate only when the base
 // did not report them either.
 //
@@ -30,46 +31,59 @@
 // the pooled campaign engine actually scales. -min-speedup is the ratio
 // per usable CPU: the bound is -min-speedup × min(CPUs, width), where
 // width is the fast variant's parallel width, read from its name's
-// trailing -N (pooled-8 → 8; no suffix means no cap). At 0.75 the pool
+// trailing key=N (pooled=8 → 8; none means no cap). At 0.75 the pool
 // must reach 6× on an 8-CPU box, 3× on 4 CPUs and 1.5× on 2, so the
 // gate is enforced on every machine.
 //
 // -json replaces the table with a machine-readable report on stdout
-// (the exit code is unchanged), for archiving the verdict as a CI
-// artifact next to the benchstat diff.
+// (the exit code is the same in both modes), for archiving the verdict
+// as a CI artifact next to the benchstat diff.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/benchfmt"
 )
 
-func main() {
-	baseFile := flag.String("base", "", "bench output of the merge-base")
-	headFile := flag.String("head", "", "bench output of the PR head")
-	pattern := flag.String("pattern", "^BenchmarkPipeline", "regexp of benchmark names to gate")
-	maxRegress := flag.Float64("max-regress", 0.15, "maximum allowed ns/op regression (0.15 = +15%)")
-	maxAllocRegress := flag.Float64("max-alloc-regress", 0.10, "maximum allowed allocs/op regression (0.10 = +10%); negative disables the allocation gate")
-	speedupSlow := flag.String("speedup-slow", "", "slow-variant benchmark name (cpu suffix stripped) for the head speedup gate")
-	speedupFast := flag.String("speedup-fast", "", "fast-variant benchmark name for the head speedup gate")
-	minSpeedup := flag.Float64("min-speedup", 0, "minimum head ns/op ratio slow/fast per usable CPU: the bound is this times min(CPUs, the fast variant's trailing -N) (0 disables the speedup gate)")
-	jsonOut := flag.Bool("json", false, "emit the verdicts as JSON on stdout instead of a table")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the verdict to stdout and
+// returns the exit code — 0 when every gate passed, 1 when one failed,
+// 2 for bad input. Every path returns 1 on a failed gate, whether or
+// not any base benchmark matched -pattern.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseFile := fs.String("base", "", "bench output of the merge-base")
+	headFile := fs.String("head", "", "bench output of the PR head")
+	pattern := fs.String("pattern", "^BenchmarkPipeline", "regexp of benchmark names to gate")
+	maxRegress := fs.Float64("max-regress", 0.15, "maximum allowed ns/op regression (0.15 = +15%)")
+	maxAllocRegress := fs.Float64("max-alloc-regress", 0.10, "maximum allowed allocs/op regression (0.10 = +10%); negative disables the allocation gate")
+	speedupSlow := fs.String("speedup-slow", "", "slow-variant benchmark name (cpu suffix stripped) for the head speedup gate")
+	speedupFast := fs.String("speedup-fast", "", "fast-variant benchmark name for the head speedup gate")
+	minSpeedup := fs.Float64("min-speedup", 0, "minimum head ns/op ratio slow/fast per usable CPU: the bound is this times min(CPUs, the width N in the fast variant's trailing key=N) (0 disables the speedup gate)")
+	jsonOut := fs.Bool("json", false, "emit the verdicts as JSON on stdout instead of a table")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *baseFile == "" || *headFile == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -base and -head are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate: -base and -head are required")
+		return 2
 	}
 	re, err := regexp.Compile(*pattern)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: bad -pattern: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: bad -pattern: %v\n", err)
+		return 2
 	}
 
 	var base, head benchfmt.Set
@@ -78,8 +92,8 @@ func main() {
 		err = head.ReadFile(*headFile)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
 	}
 
 	verdicts, failed := gate(base.Samples, head.Samples, re, *maxRegress, *maxAllocRegress)
@@ -90,6 +104,10 @@ func main() {
 			failed = true
 		}
 	}
+	code := 0
+	if failed {
+		code = 1
+	}
 	if *jsonOut {
 		report := struct {
 			Pattern         string          `json:"pattern"`
@@ -99,39 +117,37 @@ func main() {
 			Verdicts        []verdict       `json:"verdicts"`
 			Speedup         *speedupVerdict `json:"speedup,omitempty"`
 		}{*pattern, *maxRegress, *maxAllocRegress, failed, verdicts, sv}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
 		}
-		if failed {
-			os.Exit(1)
-		}
-		return
+		return code
 	}
 	if len(verdicts) == 0 {
-		fmt.Printf("benchgate: no benchmarks matching %q in base output; nothing to gate\n", *pattern)
-		return
+		fmt.Fprintf(stdout, "benchgate: no benchmarks matching %q in base output; no regression to gate\n", *pattern)
+	} else {
+		fmt.Fprintf(stdout, "%-32s %14s %14s %8s %12s %12s %8s\n",
+			"benchmark", "base ns/op", "head ns/op", "delta", "base allocs", "head allocs", "delta")
 	}
-	fmt.Printf("%-32s %14s %14s %8s %12s %12s %8s\n",
-		"benchmark", "base ns/op", "head ns/op", "delta", "base allocs", "head allocs", "delta")
 	for _, v := range verdicts {
 		alloc := fmt.Sprintf("%12s %12s %8s", "-", "-", "")
 		if v.BaseAllocs >= 0 && v.HeadAllocs >= 0 {
 			alloc = fmt.Sprintf("%12.0f %12.0f %+7.1f%%", v.BaseAllocs, v.HeadAllocs, v.AllocDelta*100)
 		}
-		fmt.Printf("%-32s %14.0f %14.0f %+7.1f%% %s %s\n", v.Name, v.BaseNs, v.HeadNs, v.NsDelta*100, alloc, v.Mark)
+		fmt.Fprintf(stdout, "%-32s %14.0f %14.0f %+7.1f%% %s %s\n", v.Name, v.BaseNs, v.HeadNs, v.NsDelta*100, alloc, v.Mark)
 	}
 	if sv != nil {
-		fmt.Println("benchgate:", sv.Note)
+		fmt.Fprintln(stdout, "benchgate:", sv.Note)
 	}
 	if failed {
-		fmt.Printf("benchgate: FAIL — regression above +%.0f%% ns/op or +%.0f%% allocs/op\n",
+		fmt.Fprintf(stdout, "benchgate: FAIL — regression above +%.0f%% ns/op or +%.0f%% allocs/op, or the speedup gate failed\n",
 			*maxRegress*100, *maxAllocRegress*100)
-		os.Exit(1)
+		return code
 	}
-	fmt.Println("benchgate: ok")
+	fmt.Fprintln(stdout, "benchgate: ok")
+	return code
 }
 
 // speedupVerdict is the head-only parallel-speedup gate's outcome: the
@@ -153,11 +169,13 @@ type speedupVerdict struct {
 
 // minSpeedupFor is the speedup bound relative to the machine: perCPU
 // for each CPU the fast variant can use, which is at most its parallel
-// width — the trailing -N of its name (BenchmarkCampaign/pooled-8 → 8).
-// A name without one is not capped.
+// width — the N of its name's last key=N element
+// (BenchmarkCampaign/pooled=8 → 8). A name without one is not capped.
 func minSpeedupFor(perCPU float64, cpus int, fast string) float64 {
-	if _, width := benchfmt.SplitSuffix(fast); width > 0 {
-		cpus = min(cpus, width)
+	if _, v, ok := strings.Cut(fast[strings.LastIndexByte(fast, '/')+1:], "="); ok {
+		if width, err := strconv.Atoi(v); err == nil && width > 0 {
+			cpus = min(cpus, width)
+		}
 	}
 	return perCPU * float64(cpus)
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -81,9 +84,9 @@ func TestGate(t *testing.T) {
 func TestSpeedupGate(t *testing.T) {
 	head := map[string]benchfmt.Sample{
 		"BenchmarkCampaign/sequential": {NsPerOp: 3000, AllocsPerOp: 100},
-		"BenchmarkCampaign/pooled-8":   {NsPerOp: 900, AllocsPerOp: 100},
+		"BenchmarkCampaign/pooled=8":   {NsPerOp: 900, AllocsPerOp: 100},
 	}
-	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
+	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled=8"
 
 	// 3.33x >= 0.75 x 4 passes on a 4-CPU machine.
 	sv := speedupGate(head, slow, fast, 0.75, 4)
@@ -116,9 +119,9 @@ func TestSpeedupGate(t *testing.T) {
 func TestSpeedupGateSkipIsLoud(t *testing.T) {
 	head := map[string]benchfmt.Sample{
 		"BenchmarkCampaign/sequential": {NsPerOp: 1720},
-		"BenchmarkCampaign/pooled-8":   {NsPerOp: 1000},
+		"BenchmarkCampaign/pooled=8":   {NsPerOp: 1000},
 	}
-	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled-8"
+	slow, fast := "BenchmarkCampaign/sequential", "BenchmarkCampaign/pooled=8"
 	sv := speedupGate(head, slow, fast, 0.75, 2)
 	if sv.Failed || sv.Min != 1.5 {
 		t.Fatalf("1.72x against the 2-CPU bound: %+v", sv)
@@ -137,7 +140,7 @@ func TestSpeedupGateSkipIsLoud(t *testing.T) {
 }
 
 // TestMinSpeedupFor checks the machine-relative bound: 0.75 per CPU up
-// to the fast variant's width of 8 (its name's trailing -8), so a 4-CPU
+// to the fast variant's width of 8 (its name's trailing =8), so a 4-CPU
 // runner still needs 3x (the fixed bound this replaced), a 2-CPU runner
 // 1.5x, and CPUs past the width add nothing; a name without a width is
 // not capped.
@@ -147,16 +150,57 @@ func TestMinSpeedupFor(t *testing.T) {
 		fast string
 		want float64
 	}{
-		{1, "BenchmarkCampaign/pooled-8", 0.75},
-		{2, "BenchmarkCampaign/pooled-8", 1.5},
-		{4, "BenchmarkCampaign/pooled-8", 3},
-		{8, "BenchmarkCampaign/pooled-8", 6},
-		{64, "BenchmarkCampaign/pooled-8", 6},
-		{64, "BenchmarkCampaign/pooled-2", 1.5},
+		{1, "BenchmarkCampaign/pooled=8", 0.75},
+		{2, "BenchmarkCampaign/pooled=8", 1.5},
+		{4, "BenchmarkCampaign/pooled=8", 3},
+		{8, "BenchmarkCampaign/pooled=8", 6},
+		{64, "BenchmarkCampaign/pooled=8", 6},
+		{64, "BenchmarkCampaign/pooled=2", 1.5},
 		{16, "BenchmarkCampaign/pooled", 12},
 	} {
 		if got := minSpeedupFor(0.75, c.cpus, c.fast); got != c.want {
 			t.Errorf("%s on %d CPUs: bound %v, want %v", c.fast, c.cpus, got, c.want)
+		}
+	}
+}
+
+// TestRunExitCode checks that a failed gate exits 1 on every path and
+// in both output modes — including the one where no base benchmark
+// matches -pattern, which once returned before looking at the head-only
+// speedup gate — and that a passing gate exits 0.
+func TestRunExitCode(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	empty := write("empty.bench", "PASS\n")
+	head := write("head.bench", `pkg: repro/internal/sim
+BenchmarkCampaign/sequential-4   	      10	   1200000 ns/op	  100 allocs/op
+BenchmarkCampaign/pooled=8-4     	      10	   1000000 ns/op	  100 allocs/op
+`)
+	for _, c := range []struct {
+		minSpeedup string
+		want       int
+	}{
+		{"5", 1},    // 1.2x is below 5x per CPU on any machine
+		{"0.01", 0}, // and above 0.01x per CPU on any machine
+	} {
+		for _, mode := range [][]string{nil, {"-json"}} {
+			args := append([]string{
+				"-base", empty, "-head", head,
+				"-pattern", `^BenchmarkCampaign/(sequential|pooled=8)$`,
+				"-speedup-slow", "BenchmarkCampaign/sequential",
+				"-speedup-fast", "BenchmarkCampaign/pooled=8",
+				"-min-speedup", c.minSpeedup,
+			}, mode...)
+			var out, errOut bytes.Buffer
+			if got := run(args, &out, &errOut); got != c.want {
+				t.Errorf("-min-speedup %s %v: exit %d, want %d\n%s%s", c.minSpeedup, mode, got, c.want, out.String(), errOut.String())
+			}
 		}
 	}
 }

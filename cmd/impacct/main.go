@@ -69,16 +69,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Verify and render against the resolved problem so heterogeneous
+	// runs show the chosen machine/level delays and powers; for
+	// degenerate problems this is the parsed problem itself.
+	eff := res.EffectiveProblem()
 	if *check {
-		if rep := impacct.VerifyAssigned(prob, res.Schedule, res.Assignment); !rep.OK() {
+		if rep := impacct.Verify(eff, res.Schedule); !rep.OK() {
 			fatal(fmt.Errorf("schedule failed verification: %w", rep.Err()))
 		}
 	}
-
-	// Render against the effective problem so heterogeneous runs show
-	// the chosen machine/level delays and powers; for degenerate
-	// problems this is the parsed problem itself.
-	eff := res.EffectiveProblem()
 	var body string
 	switch *format {
 	case "ascii":

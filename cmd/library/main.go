@@ -61,7 +61,7 @@ func build(args []string) {
 			if err != nil {
 				fatal(fmt.Errorf("scheduling %s: %w", p.Name, err))
 			}
-			sel.Add(runtime.NewEntry(p.Name, p, r.Schedule))
+			sel.Add(runtime.NewEntry(p.Name, r.EffectiveProblem(), r.Schedule))
 		}
 	}
 	for _, path := range fs.Args() {
@@ -73,7 +73,7 @@ func build(args []string) {
 		if err != nil {
 			fatal(fmt.Errorf("scheduling %s: %w", p.Name, err))
 		}
-		sel.Add(runtime.NewEntry(p.Name, p, r.Schedule))
+		sel.Add(runtime.NewEntry(p.Name, r.EffectiveProblem(), r.Schedule))
 	}
 
 	f, err := os.Create(*out)

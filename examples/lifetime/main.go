@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		library.Add(runtime.NewEntry(p.Name, p, r.Schedule))
+		library.Add(runtime.NewEntry(p.Name, r.EffectiveProblem(), r.Schedule))
 	}
 	var uplink bytes.Buffer
 	if err := runtime.Save(&uplink, &library); err != nil {

@@ -21,16 +21,10 @@ type (
 // Verify independently re-checks a schedule against its problem using
 // algorithms disjoint from the scheduler's own (pairwise scans,
 // per-second sampling). Use it as an acceptance gate before deploying
-// a schedule.
+// a schedule. A heterogeneous schedule is checked against the resolved
+// problem it executes, its result's EffectiveProblem; an unresolved
+// heterogeneous problem is reported as a bad assignment.
 func Verify(p *Problem, s Schedule) VerifyReport { return verify.Check(p, s) }
-
-// VerifyAssigned is Verify for heterogeneous problems: the machine and
-// DVS choices in a are applied to the tasks before checking, and
-// machine exclusivity is checked pairwise. A nil assignment is exactly
-// Verify.
-func VerifyAssigned(p *Problem, s Schedule, a Assignment) VerifyReport {
-	return verify.CheckAssigned(p, s, a)
-}
 
 // Interactive editing (see internal/editor).
 

@@ -115,8 +115,10 @@ func minReported(a, b float64) float64 {
 
 // SplitSuffix splits a name's trailing -N off, returning N, or 0 when
 // there is none. go test appends -<GOMAXPROCS> to benchmark names when
-// GOMAXPROCS is not 1; only the last -N is that suffix, so
-// BenchmarkCampaign/pooled-8-4 is pooled-8 at 4 procs.
+// GOMAXPROCS is not 1 and nothing when it is, so a sub-benchmark name
+// must not end in -<digits> itself: this repository's carry their
+// parameters as key=N. BenchmarkCampaign/pooled=8-4 is pooled=8 at 4
+// procs, and BenchmarkCampaign/pooled=8 is pooled=8 at 1.
 func SplitSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	n, err := strconv.Atoi(name[i+1:])

@@ -103,3 +103,29 @@ ok  	repro/internal/sim	9.0s
 		t.Error("a name shared by two packages was accepted")
 	}
 }
+
+// TestKeyValueNamesAtAnyCPU parses a key=value sub-benchmark as go test
+// prints it under -cpu 1 (no suffix) and -cpu 4 (-4): both give the
+// same name, with the right GOMAXPROCS, and fold into one sample.
+func TestKeyValueNamesAtAnyCPU(t *testing.T) {
+	for _, c := range []struct {
+		line  string
+		procs int
+	}{
+		{"BenchmarkCampaign/pooled=8     \t      10\t   1200000 ns/op\t  4400 allocs/op", 1},
+		{"BenchmarkCampaign/pooled=8-4   \t      10\t   1100000 ns/op\t  4500 allocs/op", 4},
+	} {
+		name, procs, _, ok := ParseLine(c.line)
+		if !ok || name != "BenchmarkCampaign/pooled=8" || procs != c.procs {
+			t.Errorf("%q: got (%q, %d, %v), want (BenchmarkCampaign/pooled=8, %d)", c.line, name, procs, ok, c.procs)
+		}
+	}
+	var s Set
+	if err := s.Read(strings.NewReader("BenchmarkCampaign/pooled=8   10   1200000 ns/op   4400 allocs/op\n" +
+		"BenchmarkCampaign/pooled=8-4   10   1100000 ns/op   4500 allocs/op\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Samples["BenchmarkCampaign/pooled=8"]; len(s.Names) != 1 || got.NsPerOp != 1100000 || got.AllocsPerOp != 4400 || s.Procs != 1 {
+		t.Fatalf("names %v, sample %+v, procs %d", s.Names, got, s.Procs)
+	}
+}

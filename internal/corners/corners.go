@@ -96,10 +96,19 @@ type Model struct {
 	Envs map[Corner]Env
 }
 
-// Validate checks the model against a problem.
+// Validate checks the model against a problem. A corner power is the
+// power a task draws, so a problem whose DVS levels or machine power
+// scales would rescale it is refused; a plan's resolved problem
+// (sched.Result's EffectiveProblem) has unit-rated machines and no
+// level choice, and is accepted.
 func (m Model) Validate(p *model.Problem) error {
 	if !m.Base.Valid() {
 		return fmt.Errorf("corners: base corners %+v not ordered", m.Base)
+	}
+	for _, mc := range p.Machines {
+		if mc.PowerScale != 1 {
+			return fmt.Errorf("corners: machine %q scales power by %g; use the plan's resolved problem", mc.Name, mc.PowerScale)
+		}
 	}
 	for _, t := range p.Tasks {
 		tp, ok := m.Tasks[t.Name]
@@ -108,6 +117,9 @@ func (m Model) Validate(p *model.Problem) error {
 		}
 		if !tp.Valid() {
 			return fmt.Errorf("corners: task %q corners %+v not ordered", t.Name, tp)
+		}
+		if len(t.Levels) > 0 {
+			return fmt.Errorf("corners: task %q has DVS levels; use the plan's resolved problem", t.Name)
 		}
 	}
 	return nil
@@ -152,9 +164,10 @@ type Report struct {
 }
 
 // Conservative schedules the problem once at the max corner and
-// evaluates the resulting schedule at every corner. Power-validity at
-// the max corner implies validity at the others whenever the corner
-// environments do not tighten Pmax.
+// evaluates the resulting schedule at every corner, on the max-corner
+// plan's resolved problem (so a machine choice made there holds at
+// every corner). Power-validity at the max corner implies validity at
+// the others whenever the corner environments do not tighten Pmax.
 func Conservative(p *model.Problem, m Model, opts sched.Options) (Report, error) {
 	worst, err := m.Instantiate(p, Max)
 	if err != nil {
@@ -164,9 +177,13 @@ func Conservative(p *model.Problem, m Model, opts sched.Options) (Report, error)
 	if err != nil {
 		return Report{}, fmt.Errorf("corners: scheduling max corner: %w", err)
 	}
+	// Each corner instantiates the plan's resolved problem exactly as
+	// it would p: under p's name and environment.
+	plan := *r.EffectiveProblem()
+	plan.Name, plan.Pmax, plan.Pmin = p.Name, p.Pmax, p.Pmin
 	rep := Report{Schedule: r.Schedule}
 	for _, c := range AllCorners {
-		q, err := m.Instantiate(p, c)
+		q, err := m.Instantiate(&plan, c)
 		if err != nil {
 			return Report{}, err
 		}
@@ -182,7 +199,8 @@ func Conservative(p *model.Problem, m Model, opts sched.Options) (Report, error)
 
 // PerCornerResult is one corner's independently scheduled outcome.
 type PerCornerResult struct {
-	Corner  Corner
+	Corner Corner
+	// Problem is the resolved problem the corner's schedule executes.
 	Problem *model.Problem
 	Result  *sched.Result
 	Metrics verify.Metrics
@@ -201,11 +219,12 @@ func PerCorner(p *model.Problem, m Model, opts sched.Options) ([]PerCornerResult
 		if err != nil {
 			return nil, fmt.Errorf("corners: scheduling %s corner: %w", c, err)
 		}
+		plan := r.EffectiveProblem()
 		out = append(out, PerCornerResult{
 			Corner:  c,
-			Problem: q,
+			Problem: plan,
 			Result:  r,
-			Metrics: verify.Check(q, r.Schedule).Metrics,
+			Metrics: verify.Check(plan, r.Schedule).Metrics,
 		})
 	}
 	return out, nil

@@ -38,17 +38,21 @@ type snapshot struct {
 	locked map[string]bool
 }
 
-// New starts a session from the automated pipeline's schedule.
+// New starts a session from the automated pipeline's schedule. The
+// session edits the plan's resolved problem (sched.Result's
+// EffectiveProblem): a heterogeneous problem's machine and level
+// choices are fixed by that first run, and Reschedule keeps them.
 func New(p *model.Problem, opts sched.Options) (*Session, error) {
 	r, err := sched.Run(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithSchedule(p, r.Schedule, opts)
+	return NewWithSchedule(r.EffectiveProblem(), r.Schedule, opts)
 }
 
 // NewWithSchedule starts a session from an existing schedule, which
-// must be valid.
+// must be valid. A heterogeneous p must be resolved (see verify.Check);
+// an unresolved one is refused.
 func NewWithSchedule(p *model.Problem, s schedule.Schedule, opts sched.Options) (*Session, error) {
 	if rep := verify.Check(p, s); !rep.OK() {
 		return nil, fmt.Errorf("editor: initial schedule invalid: %w", rep.Err())
@@ -61,7 +65,8 @@ func NewWithSchedule(p *model.Problem, s schedule.Schedule, opts sched.Options) 
 	}, nil
 }
 
-// Problem returns the session's problem.
+// Problem returns the session's problem: for a session started by New,
+// the resolved problem of its first plan.
 func (s *Session) Problem() *model.Problem { return s.prob }
 
 // Schedule returns a copy of the current schedule.

@@ -49,6 +49,17 @@ func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 
 	single := newBackend(t)
 	want := play(t, single.URL, stream)
+	// The heterogeneous campaigns fly their plans' resolved problems,
+	// so these rows compare missions that survive, not total losses.
+	for _, i := range []int{1, 2} {
+		var sum struct {
+			Survived int `json:"survived"`
+		}
+		_, body, _ := strings.Cut(want[i], "\n")
+		if err := json.Unmarshal([]byte(body), &sum); err != nil || sum.Survived == 0 {
+			t.Fatalf("heterogeneous campaign %d: no run survived (%v): %s", i, err, want[i])
+		}
+	}
 
 	// boot starts the router over live poisoner-wrapped backends and
 	// dead refused ports. With poison set it arms the second backend in

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/model"
+	"repro/internal/schedule"
 	"repro/internal/spec"
 	"repro/internal/verify"
 )
@@ -12,7 +14,10 @@ import (
 // libraryDoc is the on-disk form of a schedule library: each entry
 // carries its problem as spec text (round-trips exactly) and its
 // schedule as name/start pairs. Validity ranges are recomputed on load,
-// so a library cannot lie about its own safety.
+// so a library cannot lie about its own safety. A heterogeneous entry
+// stores the resolved problem its schedule executes (unit-rated
+// machines, every task pinned, no DVS levels), so the stored delays and
+// powers are the ones the schedule runs with.
 type libraryDoc struct {
 	Entries []entryDoc `json:"entries"`
 }
@@ -57,6 +62,9 @@ func Load(r io.Reader) (*Selector, error) {
 			return nil, fmt.Errorf("runtime: load %s: %w", ed.Name, err)
 		}
 		s, err := spec.ParseScheduleJSON(p, ed.Schedule)
+		if err == nil {
+			err = checkStored(p, s)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("runtime: load %s: %w", ed.Name, err)
 		}
@@ -66,4 +74,29 @@ func Load(r io.Reader) (*Selector, error) {
 		sel.Add(NewEntry(ed.Name, p, s))
 	}
 	return sel, nil
+}
+
+// maxHorizon bounds the finish time of a loaded schedule: verification
+// samples it once per second, so a tampered start or delay must not buy
+// an unbounded check.
+const maxHorizon = 1 << 20
+
+// checkStored refuses an entry that is not in the form Save writes: a
+// heterogeneous problem that is not resolved (see libraryDoc), or a
+// schedule whose tasks do not run within [0, maxHorizon].
+func checkStored(p *model.Problem, s schedule.Schedule) error {
+	for _, m := range p.Machines {
+		if m.Speed != 1 || m.PowerScale != 1 {
+			return fmt.Errorf("machine %q is not unit-rated: store the resolved problem of the plan", m.Name)
+		}
+	}
+	for i, t := range p.Tasks {
+		if len(t.Levels) > 0 {
+			return fmt.Errorf("task %q has DVS levels: store the resolved problem of the plan", t.Name)
+		}
+		if t.Delay > maxHorizon || s.Start[i] < 0 || s.Start[i] > maxHorizon-t.Delay {
+			return fmt.Errorf("task %q runs [%d, +%d s), outside [0, %d]", t.Name, s.Start[i], t.Delay, maxHorizon)
+		}
+	}
+	return nil
 }

@@ -19,7 +19,9 @@ import (
 type Entry struct {
 	// Name labels the entry (e.g. "rover-best-cold").
 	Name string
-	// Prob and Sched are the problem instance and its schedule.
+	// Prob and Sched are the problem instance and its schedule. Prob is
+	// the problem the schedule executes: for a heterogeneous plan, its
+	// resolved problem (sched.Result's EffectiveProblem).
 	Prob  *model.Problem
 	Sched schedule.Schedule
 	// Profile is the schedule's power profile.
@@ -35,7 +37,8 @@ type Entry struct {
 	Finish model.Time
 }
 
-// NewEntry computes the validity range of a schedule.
+// NewEntry computes the validity range of a schedule from the tasks of
+// p, the problem the schedule executes (see Entry.Prob).
 func NewEntry(name string, p *model.Problem, s schedule.Schedule) Entry {
 	prof := power.Build(p.Tasks, s, p.BasePower)
 	return Entry{

@@ -368,3 +368,57 @@ precede a b
 		t.Fatal(rep.Err())
 	}
 }
+
+// TestEffectiveProblemReschedulesToItself pins the resolved view: each
+// task is pinned to its chosen machine with its one chosen level, the
+// machines are unit-rated, and scheduling the view again reproduces
+// its delays and powers instead of scaling them a second time. A
+// degenerate result returns the caller's problem itself.
+func TestEffectiveProblemReschedulesToItself(t *testing.T) {
+	hetero9, err := spec.ParseFile(filepath.Join("..", "..", "testdata", "hetero9.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := []*model.Problem{hetero9}
+	for seed := int64(0); seed < 25; seed++ {
+		probs = append(probs, genHeteroProblem(seed))
+	}
+	for _, p := range probs {
+		r, err := Run(p, Options{})
+		if err != nil {
+			continue
+		}
+		v := r.EffectiveProblem()
+		for _, m := range v.Machines {
+			if m.Speed != 1 || m.PowerScale != 1 {
+				t.Fatalf("%s: view machine %+v is not unit-rated", p.Name, m)
+			}
+		}
+		for i, vt := range v.Tasks {
+			if len(vt.Levels) != 0 || vt.Machine != p.Machines[r.Assignment[i].Machine].Name {
+				t.Fatalf("%s: view task %+v is not resolved to choice %+v", p.Name, vt, r.Assignment[i])
+			}
+		}
+		r2, err := Run(v, Options{})
+		if err != nil {
+			t.Fatalf("%s: view does not schedule: %v", p.Name, err)
+		}
+		for i, vt := range v.Tasks {
+			if got := r2.Tasks[i]; got.Delay != vt.Delay || got.Power != vt.Power {
+				t.Fatalf("%s: task %s rescheduled as %d s/%g W, view says %d s/%g W",
+					p.Name, vt.Name, got.Delay, got.Power, vt.Delay, vt.Power)
+			}
+		}
+	}
+	p, err := spec.ParseFile(filepath.Join("..", "..", "testdata", "example9.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.EffectiveProblem() != p {
+		t.Fatal("degenerate EffectiveProblem is not the caller's problem")
+	}
+}

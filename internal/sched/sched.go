@@ -182,22 +182,29 @@ type Result struct {
 // Finish returns the schedule's finish time tau.
 func (r *Result) Finish() model.Time { return r.Schedule.Finish(r.Tasks) }
 
-// EffectiveProblem returns the problem view the schedule executes:
-// the original problem for the degenerate case (no copy — byte-level
-// identity for every downstream renderer), or a clone whose tasks
-// carry their chosen effective delay and power, with the chosen
-// machine recorded as the task's pin, for a heterogeneous one.
+// EffectiveProblem returns the resolved problem the schedule executes,
+// the one task view every consumer downstream of the scheduler reads.
+// For the degenerate case it is the original problem (no copy —
+// byte-level identity for every downstream renderer). For a
+// heterogeneous one it is a clone in which each task carries the
+// delay and power of its one chosen level, is pinned to its chosen
+// machine, and every machine is unit-rated, so the view allows exactly
+// one assignment (verify.Check derives it) and scheduling the view
+// again reproduces its delays and powers instead of scaling them twice.
 func (r *Result) EffectiveProblem() *model.Problem {
 	if !r.Compiled.Hetero {
 		return r.Compiled.Prob
 	}
 	q := r.Compiled.Prob.Clone()
+	for i := range q.Machines {
+		q.Machines[i].Speed, q.Machines[i].PowerScale = 1, 1
+	}
 	for i := range q.Tasks {
 		q.Tasks[i].Delay = r.Tasks[i].Delay
 		q.Tasks[i].Power = r.Tasks[i].Power
 		q.Tasks[i].Levels = nil
 		if r.Assignment != nil && r.Assignment[i].Machine >= 0 {
-			q.Tasks[i].Machine = r.Compiled.Prob.Machines[r.Assignment[i].Machine].Name
+			q.Tasks[i].Machine = q.Machines[r.Assignment[i].Machine].Name
 		}
 	}
 	return q

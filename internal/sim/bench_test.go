@@ -10,8 +10,8 @@ import (
 
 // BenchmarkCampaign measures a 16-run rover fault campaign — the
 // headline number for the Monte-Carlo layer. CI gates sequential and
-// pooled-8 on allocs/op (the streaming engine's constant-memory
-// property is exact) and requires pooled-8 to beat sequential by
+// pooled=8 on allocs/op (the streaming engine's constant-memory
+// property is exact) and requires pooled=8 to beat sequential by
 // 0.75 × min(CPUs, 8), the bound benchgate's -min-speedup 0.75
 // computes.
 func BenchmarkCampaign(b *testing.B) { benchmarkCampaign(b, 16) }
@@ -29,7 +29,7 @@ func benchmarkCampaignLadder(b *testing.B, runs int) {
 }
 
 // benchmarkCampaign runs a runs-long campaign three ways: on a worker
-// pool of width 1 (sequential) and 8 (pooled-8), and as 2shard — the
+// pool of width 1 (sequential) and 8 (pooled=8), and as 2shard — the
 // seed range split into two contiguous halves, each folded by its own
 // campaign over its own service (a router fan-out over two backend
 // processes), the partial reducers pushed through the wire format and
@@ -50,7 +50,7 @@ func benchmarkCampaign(b *testing.B, runs int) {
 	for _, v := range []struct {
 		name    string
 		workers int
-	}{{"sequential", 1}, {"pooled-8", 8}} {
+	}{{"sequential", 1}, {"pooled=8", 8}} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -3,11 +3,14 @@ package sim
 import (
 	"bytes"
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/mission"
+	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/spec"
 	"repro/internal/verify"
 )
 
@@ -32,39 +35,79 @@ func observed(fn func()) *contingencyLog {
 	return log
 }
 
+// faultedCampaign is one campaign target of the determinism and
+// adoption-gate tests.
+type faultedCampaign struct {
+	name   string
+	m      Mission
+	faults FaultModel
+}
+
+// faultedCampaigns are the chain under a scripted dropout and the
+// heterogeneous nine-task example, whose plans run on their resolved
+// problems, under the default fault model; and the heterogeneous
+// example under power faults only, where no task may ever run longer
+// than its plan says.
+func faultedCampaigns(t *testing.T) []faultedCampaign {
+	chain := chainMission()
+	chain.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
+	powerOnly := DefaultFaults()
+	powerOnly.OverrunProb, powerOnly.FailProb = 0, 0
+	return []faultedCampaign{
+		{"chain", chain, DefaultFaults()},
+		{"hetero9", heteroMission(t), DefaultFaults()},
+		{"hetero9 power faults", heteroMission(t), powerOnly},
+	}
+}
+
+// heteroMission wraps the heterogeneous nine-task example as a mission:
+// two machines of different speed and power rating, DVS levels and a
+// pin.
+func heteroMission(t *testing.T) Mission {
+	t.Helper()
+	p, err := spec.ParseFile("../../testdata/hetero9.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ProblemMission(p)
+}
+
 // TestCampaignDeterministicAcrossWorkers is the core determinism
 // guarantee: the same (seed, runs) produces byte-identical JSON
 // summaries regardless of worker-pool width. The -race CI run drives
 // the pooled variant concurrently.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	m := chainMission()
-	m.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
-	render := func(workers int) []byte {
-		c := Campaign{
-			Mission: m,
-			Faults:  DefaultFaults(),
-			Runs:    24,
-			Seed:    42,
-			Svc:     service.New(service.Config{Workers: workers}),
+	for _, tc := range faultedCampaigns(t) {
+		render := func(workers int) []byte {
+			c := Campaign{
+				Mission: tc.m,
+				Faults:  tc.faults,
+				Runs:    24,
+				Seed:    42,
+				Svc:     service.New(service.Config{Workers: workers}),
+			}
+			sum, err := c.Run()
+			if err != nil {
+				t.Fatalf("%s campaign (workers=%d): %v", tc.name, workers, err)
+			}
+			if sum.Survived == 0 {
+				t.Fatalf("%s campaign (workers=%d): no run survived: %+v", tc.name, workers, sum)
+			}
+			b, err := sum.JSON()
+			if err != nil {
+				t.Fatalf("JSON: %v", err)
+			}
+			return b
 		}
-		sum, err := c.Run()
-		if err != nil {
-			t.Fatalf("campaign (workers=%d): %v", workers, err)
+		seq := render(1)
+		pooled := render(4)
+		if !bytes.Equal(seq, pooled) {
+			t.Fatalf("%s: summaries differ between workers=1 and workers=4:\n--- sequential\n%s\n--- pooled\n%s", tc.name, seq, pooled)
 		}
-		b, err := sum.JSON()
-		if err != nil {
-			t.Fatalf("JSON: %v", err)
+		// And re-running on a warm cache changes nothing.
+		if again := render(4); !bytes.Equal(pooled, again) {
+			t.Fatalf("%s: summary not stable across repeat runs:\n%s\nvs\n%s", tc.name, pooled, again)
 		}
-		return b
-	}
-	seq := render(1)
-	pooled := render(4)
-	if !bytes.Equal(seq, pooled) {
-		t.Fatalf("summaries differ between workers=1 and workers=4:\n--- sequential\n%s\n--- pooled\n%s", seq, pooled)
-	}
-	// And re-running on a warm cache changes nothing.
-	if again := render(4); !bytes.Equal(pooled, again) {
-		t.Fatalf("summary not stable across repeat runs:\n%s\nvs\n%s", pooled, again)
 	}
 }
 
@@ -75,45 +118,63 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 // VerifyRejects counts the hoisted nominal plan's rejects once per run
 // plus every contingency reject.
 func TestCampaignContingenciesVerified(t *testing.T) {
-	m := chainMission()
-	m.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
-	c := Campaign{
-		Mission: m,
-		Faults:  DefaultFaults(),
-		Runs:    16,
-		Seed:    7,
-		Svc:     service.New(service.Config{Workers: 4}),
-	}
-	cfg := runConfig{Mission: c.Mission, Faults: c.Faults, Svc: c.Svc}
-	nom := hoistNominal(context.Background(), cfg)
-	var sum Summary
-	log := observed(func() {
-		var err error
-		if sum, err = c.Run(); err != nil {
-			t.Fatalf("campaign: %v", err)
+	for _, tc := range faultedCampaigns(t) {
+		c := Campaign{
+			Mission: tc.m,
+			Faults:  tc.faults,
+			Runs:    16,
+			Seed:    7,
+			Svc:     service.New(service.Config{Workers: 4}),
 		}
-	})
-	if len(log.events) == 0 {
-		t.Fatal("no contingency events observed")
-	}
-	rejected := 0
-	for _, ev := range log.events {
-		rep := verify.Check(ev.Problem, ev.Schedule)
-		if ev.Adopted && !rep.OK() {
-			t.Errorf("adopted contingency at t=%d (seed %d, source %s) fails verification: %v",
-				ev.MissionTime, ev.Seed, ev.Source, rep.Err())
+		cfg := runConfig{Mission: c.Mission, Faults: c.Faults, Svc: c.Svc}
+		nom := hoistNominal(context.Background(), cfg)
+		var sum Summary
+		log := observed(func() {
+			var err error
+			if sum, err = c.Run(); err != nil {
+				t.Fatalf("%s campaign: %v", tc.name, err)
+			}
+		})
+		if len(log.events) == 0 {
+			t.Fatalf("%s: no contingency events observed", tc.name)
 		}
-		if !ev.Adopted {
-			rejected++
-			if rep.OK() {
-				t.Errorf("rejected contingency at t=%d (seed %d) verifies clean", ev.MissionTime, ev.Seed)
+		planned := nom.p0.TaskIndex()
+		rejected, adopted := 0, 0
+		for _, ev := range log.events {
+			rep := verify.Check(ev.Problem, ev.Schedule)
+			if ev.Adopted {
+				adopted++
+				if !rep.OK() {
+					t.Errorf("%s: adopted contingency at t=%d (seed %d, source %s) fails verification: %v",
+						tc.name, ev.MissionTime, ev.Seed, ev.Source, rep.Err())
+				}
+				// A replan keeps every task's machine, level and power
+				// from the nominal plan; only a revealed overrun may
+				// lengthen its delay.
+				for _, got := range ev.Problem.Tasks {
+					want := nom.p0.Tasks[planned[got.Name]]
+					if got.Machine != want.Machine || got.Power != want.Power || got.Delay < want.Delay ||
+						(tc.faults.OverrunProb == 0 && tc.faults.FailProb == 0 && got.Delay != want.Delay) {
+						t.Fatalf("%s: contingency at t=%d (seed %d) runs %s as %+v, the nominal plan as %+v",
+							tc.name, ev.MissionTime, ev.Seed, got.Name, got, want)
+					}
+				}
+			}
+			if !ev.Adopted {
+				rejected++
+				if rep.OK() {
+					t.Errorf("%s: rejected contingency at t=%d (seed %d) verifies clean", tc.name, ev.MissionTime, ev.Seed)
+				}
 			}
 		}
-	}
-	// The campaign's own hoist reported the nominal rejects once.
-	if want := c.Runs*nom.rejects + rejected - nom.rejects; sum.VerifyRejects != want {
-		t.Errorf("VerifyRejects = %d, want %d (%d runs × %d nominal + %d contingency rejects)",
-			sum.VerifyRejects, want, c.Runs, nom.rejects, rejected-nom.rejects)
+		if adopted < 2 {
+			t.Errorf("%s: only %d adopted plans observed; the campaign never replanned", tc.name, adopted)
+		}
+		// The campaign's own hoist reported the nominal rejects once.
+		if want := c.Runs*nom.rejects + rejected - nom.rejects; sum.VerifyRejects != want {
+			t.Errorf("%s: VerifyRejects = %d, want %d (%d runs × %d nominal + %d contingency rejects)",
+				tc.name, sum.VerifyRejects, want, c.Runs, nom.rejects, rejected-nom.rejects)
+		}
 	}
 }
 
@@ -191,20 +252,41 @@ func TestCampaignRover(t *testing.T) {
 	}
 }
 
+// TestCampaignZeroFaultsAlwaysSurvives: with no faults every run flies
+// its nominal plan unchanged, so it survives without replanning and
+// draws exactly the plan's energy cost from the battery. The
+// heterogeneous row holds only if the gate, the replay and the fault
+// draw all read the plan's resolved problem.
 func TestCampaignZeroFaultsAlwaysSurvives(t *testing.T) {
-	c := Campaign{
-		Mission: chainMission(),
-		Faults:  FaultModel{},
-		Runs:    8,
-		Seed:    3,
-		Svc:     service.New(service.Config{Workers: 2}),
-	}
-	sum, err := c.Run()
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	if sum.Survived != sum.Runs || sum.Reschedules != 0 {
-		t.Fatalf("zero-fault campaign should be uneventful: %+v", sum)
+	for _, tc := range []struct {
+		name string
+		m    Mission
+	}{{"chain", chainMission()}, {"hetero9", heteroMission(t)}} {
+		svc := service.New(service.Config{Workers: 2})
+		c := Campaign{
+			Mission: tc.m,
+			Faults:  FaultModel{},
+			Runs:    20,
+			Seed:    3,
+			Svc:     svc,
+		}
+		sum, err := c.Run()
+		if err != nil {
+			t.Fatalf("%s campaign: %v", tc.name, err)
+		}
+		if sum.Survived != sum.Runs || sum.Reschedules != 0 || sum.VerifyRejects != 0 {
+			t.Fatalf("%s: zero-fault campaign should be uneventful: %+v", tc.name, sum)
+		}
+		p0 := tc.m.Problem.Clone()
+		p0.Pmin = tc.m.Phases[0].Cond.Solar
+		p0.Pmax = p0.Pmin + tc.m.Battery.MaxPower
+		r, err := svc.Schedule(p0, sched.Options{}, service.StageMinPower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sum.EnergyCost.Mean, r.EnergyCost(); math.Abs(got-want) > 1.0/(1<<20) {
+			t.Fatalf("%s: battery energy mean %g J, served plan's energy cost %g J", tc.name, got, want)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/mission"
 	"repro/internal/model"
 	"repro/internal/service"
 )
@@ -134,46 +133,46 @@ func TestReducerWireRoundTrip(t *testing.T) {
 // as a scatter-gather coordinator would — produces byte-identical
 // summary JSON.
 func TestCampaignDeterministicAcrossWorkersAndShards(t *testing.T) {
-	m := chainMission()
-	m.Faults = []mission.FaultPhase{{Kind: mission.FaultDropout, Start: 3, Duration: 4}}
 	const runs = 24
-	var want []byte
-	for _, workers := range []int{1, 4, 16} {
-		for _, shards := range []int{1, 2, 3} {
-			c := Campaign{
-				Mission: m,
-				Faults:  DefaultFaults(),
-				Runs:    runs,
-				Seed:    42,
-				Svc:     service.New(service.Config{Workers: workers}),
-			}
-			var merged *Reducer
-			lo := 0
-			for s := 0; s < shards; s++ {
-				hi := lo + runs/shards
-				if s < runs%shards {
-					hi++
+	for _, tc := range faultedCampaigns(t) {
+		var want []byte
+		for _, workers := range []int{1, 4, 16} {
+			for _, shards := range []int{1, 2, 3} {
+				c := Campaign{
+					Mission: tc.m,
+					Faults:  tc.faults,
+					Runs:    runs,
+					Seed:    42,
+					Svc:     service.New(service.Config{Workers: workers}),
 				}
-				red, err := c.ReduceRange(context.Background(), lo, hi)
+				var merged *Reducer
+				lo := 0
+				for s := 0; s < shards; s++ {
+					hi := lo + runs/shards
+					if s < runs%shards {
+						hi++
+					}
+					red, err := c.ReduceRange(context.Background(), lo, hi)
+					if err != nil {
+						t.Fatalf("%s workers=%d shards=%d range [%d,%d): %v", tc.name, workers, shards, lo, hi, err)
+					}
+					red = ReducerFromWire(red.Wire())
+					if merged == nil {
+						merged = red
+					} else {
+						merged.Merge(red)
+					}
+					lo = hi
+				}
+				got, err := merged.Finalize(42).JSON()
 				if err != nil {
-					t.Fatalf("workers=%d shards=%d range [%d,%d): %v", workers, shards, lo, hi, err)
+					t.Fatal(err)
 				}
-				red = ReducerFromWire(red.Wire())
-				if merged == nil {
-					merged = red
-				} else {
-					merged.Merge(red)
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(want, got) {
+					t.Fatalf("%s workers=%d shards=%d summary differs:\n--- want\n%s\n--- got\n%s", tc.name, workers, shards, want, got)
 				}
-				lo = hi
-			}
-			got, err := merged.Finalize(42).JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-			} else if !bytes.Equal(want, got) {
-				t.Fatalf("workers=%d shards=%d summary differs:\n--- want\n%s\n--- got\n%s", workers, shards, want, got)
 			}
 		}
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // timingConflict scans for the earliest instant at which the run's
-// overruns break the schedule's structure: a same-resource successor
-// whose planned start arrives before its predecessor's actual finish,
+// overruns break the schedule's structure: a same-resource (or, in a
+// resolved heterogeneous problem, same-machine) successor whose
+// planned start arrives before its predecessor's actual finish,
 // or a finish-to-start separation (Min >= the nominal delay of From)
 // whose target starts before From actually finishes. The conflict
 // instant is the successor's planned start — the moment the executive
@@ -31,15 +32,17 @@ func timingConflict(p *model.Problem, idx map[string]int, actual map[string]mode
 		return nominal
 	}
 	for i := range p.Tasks {
+		ti := &p.Tasks[i]
 		for j := range p.Tasks {
-			if i == j || p.Tasks[i].Resource != p.Tasks[j].Resource {
+			tj := &p.Tasks[j]
+			if i == j || (ti.Resource != tj.Resource && (ti.Machine == "" || ti.Machine != tj.Machine)) {
 				continue
 			}
 			si, sj := s.Start[i], s.Start[j]
-			if si > sj || (si == sj && p.Tasks[i].Name >= p.Tasks[j].Name) {
+			if si > sj || (si == sj && ti.Name >= tj.Name) {
 				continue // only scan i as the earlier of the pair
 			}
-			if si+dur(p.Tasks[i].Name, p.Tasks[i].Delay) > sj {
+			if si+dur(ti.Name, ti.Delay) > sj {
 				consider(sj)
 			}
 		}
@@ -75,7 +78,10 @@ func timingConflict(p *model.Problem, idx map[string]int, actual map[string]mode
 // has watched overrun (the in-flight set): the contingency plans with
 // their true durations — both the task delay itself and the Min of any
 // finish-to-start edge out of it — so the same overrun cannot re-break
-// the new schedule. Unrevealed future tasks keep nominal delays.
+// the new schedule. Unrevealed future tasks keep the delays p gives
+// them. p is the segment's resolved problem, and q keeps its machines
+// and pins, so a contingency replan runs every task on the machine and
+// level the nominal plan chose for it.
 func residualProblem(p *model.Problem, s schedule.Schedule, pending []string, elapsed model.Time, promote map[string]model.Time) (*model.Problem, int) {
 	pend := make(map[string]bool, len(pending))
 	for _, n := range pending {
@@ -87,6 +93,7 @@ func residualProblem(p *model.Problem, s schedule.Schedule, pending []string, el
 		BasePower: p.BasePower,
 		Pmax:      p.Pmax,
 		Pmin:      p.Pmin,
+		Machines:  p.Machines,
 	}
 	// stretch is how much a promoted task's revealed delay exceeds its
 	// nominal one; finish-to-start Mins out of it grow by the same

@@ -44,7 +44,9 @@ type ContingencyEvent struct {
 	Seed int64
 	// MissionTime is when the contingency was computed.
 	MissionTime model.Time
-	// Problem is the residual problem (or the nominal one at t=0).
+	// Problem is the resolved problem the candidate executes: the
+	// EffectiveProblem of the residual (or, at t=0, the nominal)
+	// problem's plan.
 	Problem *model.Problem
 	// Schedule is the candidate.
 	Schedule schedule.Schedule
@@ -110,20 +112,21 @@ type RunResult struct {
 const pipelineSource = "minpower"
 
 // adopt computes candidate schedules for prob and returns the first
-// that survives the verify gate: the full pipeline result when it is
+// that survives the verify gate, together with the resolved problem it
+// executes (its EffectiveProblem): the full pipeline result when it is
 // schedulable and verified, otherwise the best valid entry of a
 // runtime library built from the cheaper pipeline stages. A repeated
 // residual problem costs a service cache lookup per stage, not a
 // recompute; its candidates are verified again on every call.
-func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Time) (schedule.Schedule, string, int, bool) {
+func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Time) (*model.Problem, schedule.Schedule, string, int, bool) {
 	fp := prob.Fingerprint()
 	rejects := 0
-	check := func(s schedule.Schedule, source string) bool {
-		ok := verify.Check(prob, s).OK()
+	check := func(view *model.Problem, s schedule.Schedule, source string) bool {
+		ok := verify.Check(view, s).OK()
 		if observe != nil {
 			observe(ContingencyEvent{
 				Seed: cfg.Seed, MissionTime: at,
-				Problem: prob, Schedule: s,
+				Problem: view, Schedule: s,
 				Source: source, Adopted: ok,
 			})
 		}
@@ -133,8 +136,8 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 		return ok
 	}
 	if r, err := cfg.Svc.ScheduleFPCtx(ctx, fp, prob, cfg.Opts, service.StageMinPower); err == nil {
-		if check(r.Schedule, pipelineSource) {
-			return r.Schedule, pipelineSource, rejects, true
+		if view := r.EffectiveProblem(); check(view, r.Schedule, pipelineSource) {
+			return view, r.Schedule, pipelineSource, rejects, true
 		}
 	}
 	// Full pipeline infeasible (or rejected): fall back to runtime
@@ -144,7 +147,7 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 	var lib rtlib.Selector
 	for _, st := range []service.Stage{service.StageMaxPower, service.StageTiming} {
 		if r, err := cfg.Svc.ScheduleFPCtx(ctx, fp, prob, cfg.Opts, st); err == nil {
-			lib.Add(rtlib.NewEntry(st.String(), prob, r.Schedule))
+			lib.Add(rtlib.NewEntry(st.String(), r.EffectiveProblem(), r.Schedule))
 		}
 	}
 	tried := make(map[string]bool)
@@ -157,11 +160,11 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 		}
 		e, ok := cand.Select(prob.Pmax, prob.Pmin)
 		if !ok {
-			return schedule.Schedule{}, "", rejects, false
+			return nil, schedule.Schedule{}, "", rejects, false
 		}
 		tried[e.Name] = true
-		if check(e.Sched, e.Name) {
-			return e.Sched, e.Name, rejects, true
+		if check(e.Prob, e.Sched, e.Name) {
+			return e.Prob, e.Sched, e.Name, rejects, true
 		}
 	}
 }
@@ -170,7 +173,8 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 // plans the same nominal problem under the same starting conditions,
 // so campaigns hoist this once per fan-out and re-account the outcome
 // (rejects, fallback counting) per run — byte-identical to each run
-// adopting it itself. The problem and schedule are shared read-only.
+// adopting it itself. p0 is the adopted plan's resolved problem; it
+// and the schedule are shared read-only.
 type nominalPlan struct {
 	p0      *model.Problem
 	s0      schedule.Schedule
@@ -183,10 +187,10 @@ type nominalPlan struct {
 // hoistNominal plans the nominal mission under the conditions at t=0.
 func hoistNominal(ctx context.Context, cfg runConfig) *nominalPlan {
 	m := cfg.Mission
-	p0 := m.Problem.Clone()
-	p0.Pmin = m.Phases[0].Cond.Solar
-	p0.Pmax = p0.Pmin + m.Battery.MaxPower
-	s0, source, rejects, ok := adopt(ctx, p0, cfg, 0)
+	p := m.Problem.Clone()
+	p.Pmin = m.Phases[0].Cond.Solar
+	p.Pmax = p.Pmin + m.Battery.MaxPower
+	p0, s0, source, rejects, ok := adopt(ctx, p, cfg, 0)
 	nom := &nominalPlan{p0: p0, s0: s0, source: source, rejects: rejects, ok: ok}
 	if ok {
 		nom.finish0 = s0.Finish(p0.Tasks)
@@ -225,16 +229,17 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 		deadline = DeadlineFactor * finish0
 	}
 
-	// Realize this run's faults. Random solar windows are drawn inside
-	// the window where they can matter: up to twice the nominal finish
-	// (or the deadline if sooner).
+	// Realize this run's faults on the plan's resolved tasks, so an
+	// overrun scales the delay a task actually runs with. Random solar
+	// windows are drawn inside the window where they can matter: up to
+	// twice the nominal finish (or the deadline if sooner).
 	horizon := deadline
 	if h := 2 * finish0; h < horizon {
 		horizon = h
 	}
-	cfg.Faults.draw(&sc.faults, rng, m.Problem.Tasks, m.Faults, horizon)
+	cfg.Faults.draw(&sc.faults, rng, p0.Tasks, m.Faults, horizon)
 	faults := &sc.faults
-	for _, t := range m.Problem.Tasks {
+	for _, t := range p0.Tasks {
 		if faults.fatal[t.Name] {
 			res.Failure = FailTask
 			return res
@@ -248,8 +253,8 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 	sup := power.Supply{Solar: env.solar, Battery: &bat}
 
 	// The contingency loop. T is the mission time the current segment
-	// started; P/S are the segment's problem and schedule (times are
-	// segment-relative).
+	// started; P/S are the segment's resolved problem and schedule
+	// (times are segment-relative).
 	T := model.Time(0)
 	P, S := p0, s0
 	for {
@@ -325,14 +330,14 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 			}
 			q.Pmax = q.Pmin + headroom
 			if q.Pmax > 0 { // Pmax == 0 means "unconstrained" to the model; never schedule into a blackout
-				s2, source, rejects, ok := adopt(ctx, q, cfg, cur)
+				q2, s2, source, rejects, ok := adopt(ctx, q, cfg, cur)
 				res.VerifyRejects += rejects
 				if ok {
 					if source != pipelineSource {
 						res.Fallbacks++
 					}
 					res.ConstraintDrops += drops
-					T, P, S = cur, q, s2
+					T, P, S = cur, q2, s2
 					adopted = true
 					continue
 				}

@@ -76,17 +76,51 @@ func (r Report) Err() error {
 
 // Check independently validates schedule s against problem p and
 // recomputes its metrics. It never consults the scheduler's constraint
-// graph or profile code. For a heterogeneous problem use CheckAssigned;
-// Check validates under the nominal (degenerate) task view.
+// graph or profile code. A heterogeneous p must be resolved — the view
+// a scheduling result's EffectiveProblem returns — and is checked
+// under the only assignment it allows (see resolved); an unresolved
+// one is reported as one KindAssignment violation, never given the
+// nominal answer.
 func Check(p *model.Problem, s schedule.Schedule) Report {
-	return CheckAssigned(p, s, nil)
+	a, err := resolved(p)
+	if err != nil {
+		return Report{Violations: []Violation{{Kind: KindAssignment, Detail: err.Error()}}}
+	}
+	return CheckAssigned(p, s, a)
+}
+
+// resolved returns the only assignment a resolved problem allows:
+// every task has at most one DVS level and, when the problem has
+// machines, a pin, which gives level 0 on the pinned machine. It is
+// nil for a degenerate problem and an error for one that leaves any
+// task a choice.
+func resolved(p *model.Problem) (model.Assignment, error) {
+	if !p.Heterogeneous() {
+		return nil, nil
+	}
+	machine := p.MachineIndex()
+	a := make(model.Assignment, len(p.Tasks))
+	for i, t := range p.Tasks {
+		if len(t.Levels) > 1 {
+			return nil, fmt.Errorf("task %q has %d DVS levels: check the resolved problem of its plan", t.Name, len(t.Levels))
+		}
+		a[i].Machine = -1
+		if len(p.Machines) > 0 {
+			m, ok := machine[t.Machine]
+			if !ok {
+				return nil, fmt.Errorf("task %q is not pinned to a machine: check the resolved problem of its plan", t.Name)
+			}
+			a[i].Machine = m
+		}
+	}
+	return a, nil
 }
 
 // CheckAssigned is Check under a machine/level assignment: every task's
 // delay and power are the effective values of its assigned (machine,
 // level), and tasks sharing a machine must be serialized like tasks
-// sharing a resource. A nil assignment is the degenerate case and
-// checks the problem exactly as Check always has.
+// sharing a resource. A nil assignment checks the nominal tasks: for
+// a degenerate problem that is exactly Check.
 func CheckAssigned(p *model.Problem, s schedule.Schedule, a model.Assignment) Report {
 	var rep Report
 	tasks, err := p.EffectiveTasks(a)

@@ -27,7 +27,7 @@ sched)
   ;;
 sim)
   # The single-iteration replay and the campaign ladder (16, 256 and
-  # 4096 runs; sequential, pooled-8 and 2shard).
+  # 4096 runs; sequential, pooled=8 and 2shard).
   pkgs=(./internal/exec ./internal/sim)
   pattern='^Benchmark(Execute|Campaign|CampaignLadder256|CampaignLadder4096)$'
   ;;
