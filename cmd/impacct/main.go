@@ -70,7 +70,8 @@ func main() {
 		fatal(err)
 	}
 	// Verify and render against the resolved problem so heterogeneous
-	// runs show the chosen machine/level delays and powers; for
+	// runs show the chosen machine/level delays and powers (and -format
+	// spec prints the problem cmd/validate checks the plan against); for
 	// degenerate problems this is the parsed problem itself.
 	eff := res.EffectiveProblem()
 	if *check {
@@ -87,7 +88,7 @@ func main() {
 	case "json":
 		body = renderJSON(eff, res)
 	case "spec":
-		body = impacct.FormatSpec(prob)
+		body = impacct.FormatSpec(eff)
 	case "dot":
 		body = dot.Scheduled(eff, res.Schedule)
 	case "metrics":

@@ -6,6 +6,14 @@
 //	impacct -format json problem.spec > sched.json
 //	validate problem.spec sched.json
 //
+// A heterogeneous schedule is checked against the resolved problem it
+// runs (every task pinned to its machine, at its one level), which
+// `impacct -format spec` prints:
+//
+//	impacct -format spec hetero.spec > resolved.spec
+//	impacct -format json hetero.spec > sched.json
+//	validate resolved.spec sched.json
+//
 // Exit status 0 means the schedule is valid; 1 means violations were
 // found (each printed); 2 means the inputs could not be read.
 package main

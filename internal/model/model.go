@@ -19,6 +19,13 @@ import (
 // The paper's examples use integral seconds throughout.
 type Time = int
 
+// MaxHorizon bounds the time span of any plan taken from outside the
+// process (a loaded library, a shipped store record, an uploaded
+// problem): verification samples a schedule once per second up to its
+// finish, so a start or delay taken from input must not buy an
+// unbounded check.
+const MaxHorizon Time = 1 << 20
+
 // Anchor is the reserved name of the virtual task that starts at time 0.
 // Constraints whose From or To field equals Anchor constrain a task
 // against the schedule origin: a release time is a min separation from

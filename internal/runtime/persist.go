@@ -76,14 +76,9 @@ func Load(r io.Reader) (*Selector, error) {
 	return sel, nil
 }
 
-// maxHorizon bounds the finish time of a loaded schedule: verification
-// samples it once per second, so a tampered start or delay must not buy
-// an unbounded check.
-const maxHorizon = 1 << 20
-
 // checkStored refuses an entry that is not in the form Save writes: a
 // heterogeneous problem that is not resolved (see libraryDoc), or a
-// schedule whose tasks do not run within [0, maxHorizon].
+// schedule whose tasks do not run within [0, model.MaxHorizon].
 func checkStored(p *model.Problem, s schedule.Schedule) error {
 	for _, m := range p.Machines {
 		if m.Speed != 1 || m.PowerScale != 1 {
@@ -94,8 +89,8 @@ func checkStored(p *model.Problem, s schedule.Schedule) error {
 		if len(t.Levels) > 0 {
 			return fmt.Errorf("task %q has DVS levels: store the resolved problem of the plan", t.Name)
 		}
-		if t.Delay > maxHorizon || s.Start[i] < 0 || s.Start[i] > maxHorizon-t.Delay {
-			return fmt.Errorf("task %q runs [%d, +%d s), outside [0, %d]", t.Name, s.Start[i], t.Delay, maxHorizon)
+		if t.Delay > model.MaxHorizon || s.Start[i] < 0 || s.Start[i] > model.MaxHorizon-t.Delay {
+			return fmt.Errorf("task %q runs [%d, +%d s), outside [0, %d]", t.Name, s.Start[i], t.Delay, model.MaxHorizon)
 		}
 	}
 	return nil

@@ -27,19 +27,14 @@ func StoreKey(p *model.Problem, opts sched.Options, stage Stage) string {
 	return storeKeyPrefix + Key(p, opts, stage)
 }
 
-// EncodeResult serializes a computed result into the persistent-store
-// record format (the same bytes write-through produces), for shipping
-// to another shard's store.
-func EncodeResult(res *sched.Result) ([]byte, error) {
-	return encodeResult(res)
-}
-
 // IngestHandoff validates and stores a record shipped by another shard
 // (hinted handoff): key must content-address the given problem, data
 // must decode into a result for it, and the decoded result must pass
 // the caller's check (the web layer passes full schedule verification)
 // — a shipped record is an unauthenticated network input, so it
-// re-earns its place in the store instead of being trusted. Accepted
+// re-earns its place in the store instead of being trusted. What lands
+// is the decoded result re-encoded, never the peer's bytes, so the
+// store only ever holds records this build would write itself. Accepted
 // records land last-write-wins (byte-identical re-ships are skipped);
 // the next L1 miss for the key rehydrates from the store exactly as if
 // this shard had computed the result itself. check may be nil to skip
@@ -48,7 +43,7 @@ func EncodeResult(res *sched.Result) ([]byte, error) {
 // The check is a callback rather than a direct verify call because the
 // dependency points the other way: internal/verify's own tests drive
 // this service, so service importing verify would cycle.
-func (s *Service) IngestHandoff(p *model.Problem, key string, data []byte, check func(*model.Problem, *sched.Result) error) error {
+func (s *Service) IngestHandoff(p *model.Problem, key string, data []byte, check func(*sched.Result) error) error {
 	if s.store == nil {
 		return ErrNoStore
 	}
@@ -62,11 +57,12 @@ func (s *Service) IngestHandoff(p *model.Problem, key string, data []byte, check
 		return fmt.Errorf("%w: %v", ErrHandoffRejected, err)
 	}
 	if check != nil {
-		if err := check(p, res); err != nil {
+		if err := check(res); err != nil {
 			s.met.handoffsRejected.Add(1)
 			return fmt.Errorf("%w: %v", ErrHandoffRejected, err)
 		}
 	}
+	data = EncodeResult(res)
 	// Prefer the dedup ingestion path when the store has one: a re-ship
 	// of bytes already live costs no log growth.
 	type changer interface {

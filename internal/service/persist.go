@@ -1,9 +1,9 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/power"
@@ -27,81 +27,127 @@ type BlobStore interface {
 	Size() int64
 }
 
-// storeKeyPrefix version-tags persisted records: the payload is a gob
-// encoding of portableResult, so any change to that struct must bump
-// the prefix (old records then simply miss and are recomputed).
-const storeKeyPrefix = "sr1/"
+// storeKeyPrefix version-tags persisted records: any change to the
+// record layout bumps it, so records an older build wrote simply miss
+// and are recomputed — cold, never wrong.
+const storeKeyPrefix = "sr2/"
 
-// portableResult is the persisted subset of sched.Result: the decision
-// variables (start times, machine/level assignment) plus the outputs
-// that must survive byte-for-byte (power profile segments — the
-// pipeline's float accumulation order is part of the contract — and
-// the heuristic-effort stats). Everything else in a Result is
-// recomputed deterministically from the problem at rehydration.
-type portableResult struct {
-	Start      []model.Time
-	Segs       []power.Segment
-	Stats      sched.Stats
-	Tasks      []model.Task // effective task view; nil when degenerate
-	Assignment model.Assignment
-}
-
-// encodeResult serializes a computed result for the store.
-func encodeResult(res *sched.Result) ([]byte, error) {
-	pr := portableResult{
-		Start: res.Schedule.Start,
-		Segs:  res.Profile.Segs,
-		Stats: res.Stats,
-	}
-	if res.Compiled.Hetero {
-		pr.Tasks = res.Tasks
-		pr.Assignment = res.Assignment
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&pr); err != nil {
-		return nil, fmt.Errorf("service: encode result: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeResult rehydrates a persisted record into a *sched.Result for
-// problem p. The problem is compiled afresh (cheap and deterministic);
-// the profile and stats are restored verbatim rather than recomputed,
-// so a rehydrated result is indistinguishable from the original to
-// every service consumer. Result.Graph is the one exception: the
-// search's working constraint graph is not persisted and stays nil —
-// no consumer outside the sched package reads it.
+// EncodeResult serializes a computed result into a store record: the
+// bytes write-through stores and hinted handoff ships. A record holds
+// only the plan's decisions, the data no one can re-derive from the
+// problem, as one flat sequence of signed varints,
 //
-// Any decode or shape mismatch (e.g. a record written for a different
-// problem revision that happened to collide) returns an error and the
-// caller treats it as a store miss.
-func decodeResult(p *model.Problem, data []byte) (*sched.Result, error) {
-	var pr portableResult
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("service: decode result: %w", err)
+//	n | m | (machine level) x m | start x n | backtracks spikeRounds scans moves rejected
+//
+// where n is the task count and m is n for a heterogeneous problem, 0
+// otherwise. Everything else a Result holds — the compiled problem,
+// the effective task view, the power profile — is a function of these
+// and the problem, and rehydration derives it exactly as the pipeline
+// does, so a record cannot disagree with its own schedule.
+func EncodeResult(res *sched.Result) []byte {
+	b := binary.AppendVarint(nil, int64(len(res.Schedule.Start)))
+	b = binary.AppendVarint(b, int64(len(res.Assignment)))
+	for _, c := range res.Assignment {
+		b = binary.AppendVarint(b, int64(c.Machine))
+		b = binary.AppendVarint(b, int64(c.Level))
 	}
-	q := p.Clone()
-	comp, err := schedule.Compile(q)
+	for _, t := range res.Schedule.Start {
+		b = binary.AppendVarint(b, int64(t))
+	}
+	st := res.Stats
+	for _, c := range [...]int{st.Backtracks, st.SpikeRounds, st.Scans, st.Moves, st.Rejected} {
+		b = binary.AppendVarint(b, int64(c))
+	}
+	return b
+}
+
+// decodeResult rehydrates a store record into a *sched.Result for
+// problem p. The problem is compiled afresh, the effective tasks are
+// resolved from the stored assignment and the profile is rebuilt from
+// them, the way the pipeline builds its own result, so a rehydrated
+// result is indistinguishable from the original to every consumer.
+//
+// The record is untrusted bytes (a peer ships them through hinted
+// handoff): every count must match the problem, an assignment must be
+// present exactly when the problem is heterogeneous and name real
+// choices, every task must run inside [0, model.MaxHorizon], counters
+// are non-negative, and nothing may trail. Any failure returns an error
+// and the caller treats the record as a store miss.
+func decodeResult(p *model.Problem, data []byte) (*sched.Result, error) {
+	comp, err := schedule.Compile(p.Clone())
 	if err != nil {
 		return nil, fmt.Errorf("service: rehydrate compile: %w", err)
 	}
-	if len(pr.Start) != len(q.Tasks) {
-		return nil, fmt.Errorf("service: rehydrate: %d starts for a %d-task problem", len(pr.Start), len(q.Tasks))
+	n := len(comp.Prob.Tasks)
+	r := recordReader{b: data}
+	r.next("task count", n, n)
+	var a model.Assignment
+	if comp.Hetero {
+		r.next("assignment length", n, n)
+		a = make(model.Assignment, n)
+		for i := range a {
+			a[i].Machine = r.next("machine", -1, len(comp.Prob.Machines)-1)
+			a[i].Level = r.next("level", 0, math.MaxInt)
+		}
+	} else {
+		r.next("assignment length", 0, 0)
 	}
-	tasks := pr.Tasks
-	if tasks == nil {
-		tasks = comp.Prob.Tasks
-	} else if len(tasks) != len(q.Tasks) {
-		return nil, fmt.Errorf("service: rehydrate: %d effective tasks for a %d-task problem", len(tasks), len(q.Tasks))
+	if r.err != nil {
+		return nil, fmt.Errorf("service: decode result: %w", r.err)
 	}
+	tasks, err := comp.Prob.EffectiveTasks(a)
+	if err != nil {
+		return nil, fmt.Errorf("service: decode result: %w", err)
+	}
+	start := make([]model.Time, n)
+	for i := range start {
+		start[i] = r.next("start", 0, model.MaxHorizon-tasks[i].Delay)
+	}
+	var st sched.Stats
+	for _, c := range [...]*int{&st.Backtracks, &st.SpikeRounds, &st.Scans, &st.Moves, &st.Rejected} {
+		*c = r.next("counter", 0, math.MaxInt)
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("service: decode result: %w", r.err)
+	}
+	sigma := schedule.Schedule{Start: start}
 	return &sched.Result{
 		Compiled:   comp,
-		Schedule:   schedule.Schedule{Start: pr.Start},
-		Profile:    power.Profile{Segs: pr.Segs},
-		Stats:      pr.Stats,
+		Schedule:   sigma,
+		Profile:    power.Build(tasks, sigma, comp.Prob.BasePower),
+		Stats:      st,
 		Tasks:      tasks,
-		Assignment: pr.Assignment,
+		Assignment: a,
 	}, nil
+}
+
+// recordReader reads a record's varints one at a time, each within
+// bounds. The first failure sticks and turns every later read into a
+// no-op, so a caller checks err once per stretch of reads.
+type recordReader struct {
+	b   []byte
+	err error
+}
+
+// next reads one varint and refuses it outside [lo, hi].
+func (r *recordReader) next(what string, lo, hi int) int {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Varint(r.b)
+	if k <= 0 {
+		r.err = fmt.Errorf("record truncated or malformed at %s", what)
+		return 0
+	}
+	r.b = r.b[k:]
+	if v < int64(lo) || v > int64(hi) {
+		r.err = fmt.Errorf("%s %d outside [%d, %d]", what, v, lo, hi)
+		return 0
+	}
+	return int(v)
 }
 
 // persistCodec carries a request's L2 hooks through do into compute.
@@ -110,7 +156,7 @@ func decodeResult(p *model.Problem, data []byte) (*sched.Result, error) {
 type persistCodec struct {
 	key    string                    // store key (version-prefixed cache key)
 	decode func([]byte) (any, error) // store hit -> live value
-	encode func(any) ([]byte, error) // computed value -> store record
+	encode func(any) []byte          // computed value -> store record, nil for none
 }
 
 // scheduleCodec builds the L2 codec for a Schedule request on problem
@@ -124,8 +170,12 @@ func (s *Service) scheduleCodec(key string, p *model.Problem) *persistCodec {
 		decode: func(data []byte) (any, error) {
 			return decodeResult(p, data)
 		},
-		encode: func(v any) ([]byte, error) {
-			return encodeResult(v.(*sched.Result))
+		encode: func(v any) []byte {
+			res := v.(*sched.Result)
+			if res.Finish() > model.MaxHorizon {
+				return nil // the decoder would refuse it: keep no record
+			}
+			return EncodeResult(res)
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/paperex"
+	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -158,7 +160,7 @@ func TestStoreCorruptRecordDegradesToMiss(t *testing.T) {
 	st, _ := testStore(t)
 	p := paperex.Nine()
 	key := storeKeyPrefix + Key(p, sched.Options{}, StageMinPower)
-	if err := st.Put(key, []byte("not a gob record")); err != nil {
+	if err := st.Put(key, []byte("not a store record")); err != nil {
 		t.Fatal(err)
 	}
 	svc := New(Config{Store: st})
@@ -208,4 +210,173 @@ func TestStoreConcurrentWriteThroughHammer(t *testing.T) {
 	if s.StorePutErrors != 0 {
 		t.Fatalf("write-through errors: %+v", s)
 	}
+}
+
+// computed runs the pipeline on p the way a shard would before writing
+// its record through.
+func computed(t testing.TB, p *model.Problem) *sched.Result {
+	t.Helper()
+	res, err := New(Config{}).Schedule(p, sched.Options{}, StageMinPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestDecodeResultRefuses walks the decoder's bounds: each record is
+// the pipeline's own result with one field broken, and each must be
+// refused, while the unbroken record rehydrates to the original.
+func TestDecodeResultRefuses(t *testing.T) {
+	nine, hetero := paperex.Nine(), heteroProblem()
+	for _, p := range []*model.Problem{nine, hetero} {
+		want := computed(t, p)
+		got, err := decodeResult(p, EncodeResult(want))
+		if err != nil {
+			t.Fatalf("%s: valid record refused: %v", p.Name, err)
+		}
+		sameResult(t, want, got, p.Name)
+	}
+
+	broken := func(p *model.Problem, edit func(*sched.Result)) []byte {
+		res := *computed(t, p)
+		res.Schedule.Start = append([]model.Time(nil), res.Schedule.Start...)
+		res.Assignment = res.Assignment.Clone()
+		edit(&res)
+		return EncodeResult(&res)
+	}
+	valid := EncodeResult(computed(t, nine))
+	cases := []struct {
+		name string
+		p    *model.Problem
+		data []byte
+	}{
+		{"empty", nine, nil},
+		{"truncated", nine, valid[:len(valid)-1]},
+		{"trailing bytes", nine, append(append([]byte(nil), valid...), 0)},
+		{"count above the task count", nine, broken(nine, func(r *sched.Result) {
+			r.Schedule.Start = append(r.Schedule.Start, 0)
+		})},
+		{"count below the task count", nine, broken(nine, func(r *sched.Result) {
+			r.Schedule.Start = r.Schedule.Start[:len(r.Schedule.Start)-1]
+		})},
+		{"assignment on a degenerate problem", nine, broken(nine, func(r *sched.Result) {
+			r.Assignment = make(model.Assignment, len(r.Schedule.Start))
+		})},
+		{"no assignment on a heterogeneous problem", hetero, broken(hetero, func(r *sched.Result) {
+			r.Assignment = nil
+		})},
+		{"unknown machine", hetero, broken(hetero, func(r *sched.Result) {
+			r.Assignment[0].Machine = len(hetero.Machines)
+		})},
+		{"unknown level", hetero, broken(hetero, func(r *sched.Result) {
+			r.Assignment[0].Level = 2
+		})},
+		{"negative counter", nine, broken(nine, func(r *sched.Result) {
+			r.Stats.Moves = -1
+		})},
+		{"negative start", nine, broken(nine, func(r *sched.Result) {
+			r.Schedule.Start[0] = -1
+		})},
+		{"start past the horizon", nine, broken(nine, func(r *sched.Result) {
+			r.Schedule.Start[0] = model.MaxHorizon - nine.Tasks[0].Delay + 1
+		})},
+	}
+	for _, tc := range cases {
+		if _, err := decodeResult(tc.p, tc.data); err == nil {
+			t.Errorf("%s: record accepted", tc.name)
+		}
+	}
+}
+
+// TestStoreSkipsPlanPastHorizon: a plan whose task runs past
+// model.MaxHorizon has no record the decoder would accept, so it is
+// never written through — not rewritten on every recompute.
+func TestStoreSkipsPlanPastHorizon(t *testing.T) {
+	st, _ := testStore(t)
+	p := &model.Problem{Name: "long", Tasks: []model.Task{{Name: "a", Resource: "R", Delay: model.MaxHorizon + 1, Power: 1}}}
+	if _, err := New(Config{Store: st}).Schedule(p, sched.Options{}, StageMinPower); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 0 {
+		t.Errorf("store holds %d records for a plan past the horizon, want 0", st.Len())
+	}
+}
+
+// TestIngestHandoffStoresCanonicalRecord: a shipped record lands as
+// this build's own encoding of what it decoded to, never as the peer's
+// bytes, and a record that fails the decoder's bounds is refused before
+// the check (the verifier, when serving) ever runs.
+func TestIngestHandoffStoresCanonicalRecord(t *testing.T) {
+	st, _ := testStore(t)
+	svc := New(Config{Store: st})
+	p := paperex.Nine()
+	want := computed(t, p)
+	key := StoreKey(p, sched.Options{}, StageMinPower)
+
+	// An overlong varint for the leading task count: the same value,
+	// different bytes.
+	canonical := EncodeResult(want)
+	padded := append([]byte{canonical[0] | 0x80, 0}, canonical[1:]...)
+	if err := svc.IngestHandoff(p, key, padded, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := st.Get(key); string(got) != string(canonical) {
+		t.Errorf("stored %x, want the canonical %x", got, canonical)
+	}
+
+	checked := false
+	check := func(*sched.Result) error { checked = true; return nil }
+	shifted := *want
+	shifted.Schedule = want.Schedule.Clone()
+	for i := range shifted.Schedule.Start {
+		shifted.Schedule.Start[i] += model.MaxHorizon
+	}
+	err := svc.IngestHandoff(p, key, EncodeResult(&shifted), check)
+	if !errors.Is(err, ErrHandoffRejected) {
+		t.Fatalf("record past the horizon: err %v, want ErrHandoffRejected", err)
+	}
+	if checked {
+		t.Error("record past the horizon reached the check")
+	}
+}
+
+// FuzzDecodeResult feeds arbitrary bytes to the store-record decoder
+// against a degenerate and a heterogeneous problem. It must never
+// panic, and every record it accepts must be consistent by
+// construction: the profile is the one its tasks and schedule build,
+// the tasks are the ones its assignment resolves to, every task runs
+// inside the horizon, and re-encoding decodes to the same result.
+func FuzzDecodeResult(f *testing.F) {
+	probs := []*model.Problem{paperex.Nine(), heteroProblem()}
+	for _, p := range probs {
+		f.Add(EncodeResult(computed(f, p)))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x12, 0x00, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, p := range probs {
+			res, err := decodeResult(p, data)
+			if err != nil {
+				continue
+			}
+			base := res.Compiled.Prob.BasePower
+			if !reflect.DeepEqual(res.Profile, power.Build(res.Tasks, res.Schedule, base)) {
+				t.Fatalf("%s: profile is not the one the schedule builds", p.Name)
+			}
+			tasks, err := res.Compiled.Prob.EffectiveTasks(res.Assignment)
+			if err != nil || !reflect.DeepEqual(res.Tasks, tasks) {
+				t.Fatalf("%s: task view is not the assignment's (%v)", p.Name, err)
+			}
+			for i, s := range res.Schedule.Start {
+				if s < 0 || s+res.Tasks[i].Delay > model.MaxHorizon {
+					t.Fatalf("%s: task %d runs [%d, +%d) outside the horizon", p.Name, i, s, res.Tasks[i].Delay)
+				}
+			}
+			again, err := decodeResult(p, EncodeResult(res))
+			if err != nil {
+				t.Fatalf("%s: re-encoded record refused: %v", p.Name, err)
+			}
+			sameResult(t, res, again, p.Name)
+		}
+	})
 }

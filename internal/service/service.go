@@ -463,13 +463,13 @@ func (s *Service) compute(ctx context.Context, key, bucket string, codec *persis
 	}
 	s.mu.Unlock()
 	// Write-through to the persistent tier outside the lock: the store
-	// serializes internally, and an encode or disk failure only costs
-	// a future recompute, never the response.
+	// serializes internally, and a disk failure only costs a future
+	// recompute, never the response.
 	if cacheable && codec != nil {
-		if data, err := codec.encode(c.val); err != nil {
-			s.met.storeErrs.Add(1)
-		} else if err := s.store.Put(codec.key, data); err != nil {
-			s.met.storeErrs.Add(1)
+		if data := codec.encode(c.val); data != nil {
+			if err := s.store.Put(codec.key, data); err != nil {
+				s.met.storeErrs.Add(1)
+			}
 		}
 	}
 	c.cancel()

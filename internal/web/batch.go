@@ -204,5 +204,38 @@ func checkSpecBounds(p *model.Problem) error {
 			return fmt.Errorf("task %s has %d DVS levels (max %d)", task.Name, len(task.Levels), maxSpecLevels)
 		}
 	}
+	if !withinHorizon(p) {
+		return fmt.Errorf("spec's serial horizon exceeds %d s", model.MaxHorizon)
+	}
 	return nil
+}
+
+// withinHorizon reports whether p's serial horizon — the sum over tasks
+// of the longest effective delay among each task's choices, plus the
+// positive min separations — stays within model.MaxHorizon: the span of
+// running every task one after another, each separation honoured.
+// Verification samples a plan once per second up to its finish, so a
+// problem past the horizon would buy every verify-gated serve of it an
+// unbounded check.
+func withinHorizon(p *model.Problem) bool {
+	left := model.MaxHorizon
+	var choices []model.TaskChoice
+	for i := range p.Tasks {
+		choices = p.AppendTaskChoices(choices[:0], i)
+		longest := model.Time(0)
+		for _, c := range choices {
+			longest = max(longest, c.Delay)
+		}
+		if longest > left {
+			return false
+		}
+		left -= longest
+	}
+	for _, con := range p.Constraints {
+		if con.Min > left {
+			return false
+		}
+		left -= max(con.Min, 0)
+	}
+	return true
 }

@@ -25,8 +25,8 @@ import (
 // store is warm when it comes back.
 const HandoffOwnerHeader = "X-Handoff-Owner"
 
-// maxHandoffBytes bounds a POST /store/put document: a gob-encoded
-// result plus its spec, both well under this for in-bounds problems.
+// maxHandoffBytes bounds a POST /store/put document: a store record
+// plus its spec, both well under this for in-bounds problems.
 const maxHandoffBytes = 4 << 20
 
 // maxHandoffShips bounds concurrent outbound handoff shipments; beyond
@@ -77,8 +77,8 @@ func (s *Server) storePut(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	check := func(p *model.Problem, res *sched.Result) error {
-		if rep := verify.CheckAssigned(p, res.Schedule, res.Assignment); !rep.OK() {
+	check := func(res *sched.Result) error {
+		if rep := verify.Check(res.EffectiveProblem(), res.Schedule); !rep.OK() {
 			return fmt.Errorf("schedule does not verify: %v", rep.Err())
 		}
 		return nil
@@ -113,15 +113,10 @@ func (s *Server) maybeShipHandoff(r *http.Request, p *model.Problem, opts sched.
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return // not a routable owner address; nothing to ship to
 	}
-	data, err := service.EncodeResult(res)
-	if err != nil {
-		s.svc.NoteHandoffSent(err)
-		return
-	}
 	rec := handoffRecord{
 		Key:   service.StoreKey(p, opts, stage),
 		Spec:  spec.Format(p),
-		Value: data,
+		Value: service.EncodeResult(res),
 	}
 	select {
 	case s.handoffSem <- struct{}{}:

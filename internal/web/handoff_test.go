@@ -12,10 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/paperex"
+	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/spec"
+	"repro/internal/verify"
 )
 
 // mapStore is an in-memory BlobStore for handoff tests.
@@ -63,7 +66,7 @@ func storedServer(t *testing.T, st service.BlobStore) (*Server, *httptest.Server
 
 // handoffDoc builds a valid handoff record by computing the result the
 // way a non-owner shard would.
-func handoffDoc(t *testing.T) (rec handoffRecord, key string) {
+func handoffDoc(t testing.TB) (rec handoffRecord, key string) {
 	t.Helper()
 	p := paperex.Nine()
 	svc := service.New(service.Config{})
@@ -71,12 +74,8 @@ func handoffDoc(t *testing.T) (rec handoffRecord, key string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := service.EncodeResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key = service.StoreKey(p, sched.Options{}, service.StageMinPower)
-	return handoffRecord{Key: key, Spec: spec.Format(p), Value: data}, key
+	return handoffRecord{Key: key, Spec: spec.Format(p), Value: service.EncodeResult(res)}, key
 }
 
 func postPut(t *testing.T, base string, rec handoffRecord) *http.Response {
@@ -138,7 +137,7 @@ func TestStorePutRejections(t *testing.T) {
 		st := newMapStore()
 		srv, ts := storedServer(t, st)
 		rec := valid
-		rec.Key = "sr1/0000000000000000/minpower/x"
+		rec.Key = "sr2/0000000000000000/minpower/x"
 		if resp := postPut(t, ts.URL, rec); resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("status %d, want 422", resp.StatusCode)
 		}
@@ -163,6 +162,30 @@ func TestStorePutRejections(t *testing.T) {
 		}
 	})
 
+	t.Run("start past the horizon", func(t *testing.T) {
+		st := newMapStore()
+		_, ts := storedServer(t, st)
+		res, err := service.New(service.Config{}).ScheduleCtx(context.Background(), paperex.Nine(), sched.Options{}, service.StageMinPower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Shifting every start keeps the schedule time-valid, so only the
+		// decoder's horizon bound can refuse it.
+		shifted := *res
+		shifted.Schedule = res.Schedule.Clone()
+		for i := range shifted.Schedule.Start {
+			shifted.Schedule.Start[i] += model.MaxHorizon
+		}
+		rec := valid
+		rec.Value = service.EncodeResult(&shifted)
+		if resp := postPut(t, ts.URL, rec); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("status %d, want 422", resp.StatusCode)
+		}
+		if st.Len() != 0 {
+			t.Error("record past the horizon reached the store")
+		}
+	})
+
 	t.Run("no store configured", func(t *testing.T) {
 		_, ts := storedServer(t, nil)
 		if resp := postPut(t, ts.URL, valid); resp.StatusCode != http.StatusServiceUnavailable {
@@ -183,6 +206,174 @@ func TestStorePutRejections(t *testing.T) {
 		_, ts := storedServer(t, newMapStore())
 		if resp := postPut(t, ts.URL, handoffRecord{}); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400", resp.StatusCode)
+		}
+	})
+}
+
+// TestStorePutServesDerivedDataFromTheSchedule ships records that pair
+// the pipeline's true schedule with a forged power profile and, for a
+// heterogeneous problem, a forged task power. A record carries only
+// the plan's decisions, so the L2 hit must serve the energy cost, peak
+// and task powers the pipeline itself derives from that schedule.
+func TestStorePutServesDerivedDataFromTheSchedule(t *testing.T) {
+	hetero, err := spec.ParseString(heteroSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, p := range []*model.Problem{paperex.Nine(), hetero} {
+		t.Run(p.Name, func(t *testing.T) {
+			want, err := service.New(service.Config{}).ScheduleCtx(ctx, p, sched.Options{}, service.StageMinPower)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forged := *want
+			forged.Profile = power.Profile{Segs: []power.Segment{{T0: 0, T1: want.Finish(), P: 0.5}}}
+			forged.Tasks = append([]model.Task(nil), want.Tasks...)
+			forged.Tasks[0].Power = 0.001
+
+			srv, ts := storedServer(t, newMapStore())
+			rec := handoffRecord{
+				Key:   service.StoreKey(p, sched.Options{}, service.StageMinPower),
+				Spec:  spec.Format(p),
+				Value: service.EncodeResult(&forged),
+			}
+			if resp := postPut(t, ts.URL, rec); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("handoff: status %d, want 204", resp.StatusCode)
+			}
+			got, err := srv.Service().ScheduleCtx(ctx, p, sched.Options{}, service.StageMinPower)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits := srv.Service().Stats().HitsL2; hits != 1 {
+				t.Fatalf("hits_l2=%d, want the shipped record served", hits)
+			}
+			if got.EnergyCost() != want.EnergyCost() || got.Peak() != want.Peak() {
+				t.Errorf("served energy cost %g J, peak %g W; the pipeline derives %g J, %g W",
+					got.EnergyCost(), got.Peak(), want.EnergyCost(), want.Peak())
+			}
+			for i := range want.Tasks {
+				if got.Tasks[i].Power != want.Tasks[i].Power {
+					t.Errorf("task %d served at %g W, runs at %g W", i, got.Tasks[i].Power, want.Tasks[i].Power)
+				}
+			}
+		})
+	}
+}
+
+// TestSpecBoundsRefuseLongHorizon: a problem whose serial horizon
+// exceeds model.MaxHorizon is refused with 400 at every boundary that
+// takes a spec, before anything is scheduled or verified.
+func TestSpecBoundsRefuseLongHorizon(t *testing.T) {
+	const long = "problem long\ntask a R 100000000 1\n"
+	srv, ts := storedServer(t, newMapStore())
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	doc := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if code, body := post("/problems", long); code != http.StatusBadRequest {
+		t.Errorf("upload: status %d (%s), want 400", code, body)
+	}
+	code, body := post("/schedule/batch", doc(BatchRequest{Items: []BatchItem{{Spec: long}}}))
+	var br BatchResponse
+	if err := json.Unmarshal([]byte(body), &br); err != nil || code != http.StatusOK || len(br.Items) != 1 {
+		t.Fatalf("batch: status %d body %s", code, body)
+	}
+	if br.Items[0].Status != http.StatusBadRequest {
+		t.Errorf("batch item: status %d, want 400", br.Items[0].Status)
+	}
+	if code, body := post("/simulate/campaign", doc(map[string]any{"spec": long, "runs": 1})); code != http.StatusBadRequest {
+		t.Errorf("campaign: status %d (%s), want 400", code, body)
+	}
+	if code, body := post("/store/put", doc(handoffRecord{Key: "k", Spec: long, Value: []byte{0}})); code != http.StatusBadRequest {
+		t.Errorf("handoff: status %d (%s), want 400", code, body)
+	}
+	vs := httptest.NewServer(http.HandlerFunc(srv.VerifyHandlerFunc))
+	defer vs.Close()
+	resp, err := http.Post(vs.URL, "text/plain", strings.NewReader(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("verify: status %d, want 400", resp.StatusCode)
+	}
+	if s := srv.Service().Stats(); s.Misses != 0 {
+		t.Errorf("a refused spec was scheduled: %+v", s)
+	}
+}
+
+// FuzzStorePut sends arbitrary documents to the handoff receiver. It
+// must never panic, and a record it accepts must rehydrate to a
+// schedule that verifies against its problem's resolved view.
+func FuzzStorePut(f *testing.F) {
+	valid, _ := handoffDoc(f)
+	hetero, err := spec.ParseString(heteroSpec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := service.New(service.Config{}).ScheduleCtx(context.Background(), hetero, sched.Options{}, service.StageMinPower)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range []handoffRecord{valid, {
+		Key:   service.StoreKey(hetero, sched.Options{}, service.StageMinPower),
+		Spec:  spec.Format(hetero),
+		Value: service.EncodeResult(res),
+	}} {
+		body, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"key":"k","spec":"task a R 1 1\n","value":"AA=="}`))
+	st := newMapStore()
+	srv := NewServerWith(sched.Options{}, service.New(service.Config{Store: st}))
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/store/put", bytes.NewReader(body)))
+		if w.Code != http.StatusNoContent {
+			return
+		}
+		// Accepted: the document parsed as the receiver parsed it.
+		var rec handoffRecord
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
+			t.Fatalf("accepted a document that does not decode: %v", err)
+		}
+		p, err := spec.ParseString(rec.Spec)
+		if err != nil {
+			t.Fatalf("accepted a spec that does not parse: %v", err)
+		}
+		stored, ok := st.Get(rec.Key)
+		if !ok {
+			t.Fatal("accepted record is not in the store")
+		}
+		// Rehydrate the stored bytes through a fresh service, under the
+		// key that service reads.
+		one := newMapStore()
+		one.Put(service.StoreKey(p, sched.Options{}, service.StageMinPower), stored)
+		svc := service.New(service.Config{Store: one})
+		got, err := svc.ScheduleCtx(context.Background(), p, sched.Options{}, service.StageMinPower)
+		if err != nil || svc.Stats().HitsL2 != 1 {
+			t.Fatalf("stored record does not rehydrate (err %v, stats %+v)", err, svc.Stats())
+		}
+		if rep := verify.Check(got.EffectiveProblem(), got.Schedule); !rep.OK() {
+			t.Fatalf("stored record fails verification: %v", rep.Err())
 		}
 	})
 }

@@ -359,7 +359,7 @@ func (s *Server) VerifyHandlerFunc(w http.ResponseWriter, r *http.Request) {
 		writeScheduleError(w, err)
 		return
 	}
-	rep := verify.CheckAssigned(p, res.Schedule, res.Assignment)
+	rep := verify.Check(res.EffectiveProblem(), res.Schedule)
 	if !rep.OK() {
 		writeJSONError(w, http.StatusInternalServerError, rep.Err().Error())
 		return
