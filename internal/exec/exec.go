@@ -202,9 +202,9 @@ func replayCore(rep *Report, p *model.Problem, s schedule.Schedule, sup power.Su
 	}
 	for t := model.Time(0); t < end; t++ {
 		demand := p.BasePower
-		for i, task := range p.Tasks {
-			if s.Start[i] <= t && t < s.Start[i]+task.Delay {
-				demand += task.Power
+		for i := range p.Tasks { // indexed: a range value copies the ~88-byte task
+			if s.Start[i] <= t && t < s.Start[i]+p.Tasks[i].Delay {
+				demand += p.Tasks[i].Power
 			}
 		}
 		if demand > rep.PeakDemand {

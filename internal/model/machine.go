@@ -69,16 +69,26 @@ type TaskChoice struct {
 	Power   float64
 }
 
+// effDelayCap is where EffDelay saturates: far past MaxHorizon, so a
+// saturated delay fails every horizon bound, yet small enough that
+// millions of them sum without overflowing a Time.
+const effDelayCap Time = 1 << 40
+
 // EffDelay returns the effective execution delay of a nominal delay d
 // stretched by a level multiplier and divided by a machine speed,
-// rounded up to whole time units and floored at 1. With mult == 1 and
-// speed == 1 the result is exactly d.
+// rounded up to whole time units, floored at 1 and saturated at
+// effDelayCap — a quotient past it (an absurdly slow machine, a huge
+// multiplier, NaN) must not wrap into a short delay. With mult == 1
+// and speed == 1 the result is exactly d for any d up to the cap.
 func EffDelay(d Time, mult, speed float64) Time {
-	e := Time(math.Ceil(float64(d) * mult / speed))
+	e := math.Ceil(float64(d) * mult / speed)
+	if !(e <= float64(effDelayCap)) {
+		return effDelayCap
+	}
 	if e < 1 {
 		return 1
 	}
-	return e
+	return Time(e)
 }
 
 // levelsOf returns the task's explicit tradeoff curve, or the implicit

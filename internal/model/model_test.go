@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -158,5 +159,33 @@ func TestConstraintString(t *testing.T) {
 	c.HasMax = false
 	if got := c.String(); got != "a -> b [2,]" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+func TestEffDelay(t *testing.T) {
+	for _, c := range []struct {
+		d         Time
+		mult, spd float64
+		want      Time
+	}{
+		{d: 5, mult: 1, spd: 1, want: 5},
+		{d: 5, mult: 1, spd: 2, want: 3},
+		{d: 5, mult: 1.5, spd: 1, want: 8},
+		{d: 0, mult: 1, spd: 1, want: 1},
+		{d: 1 << 40, mult: 1, spd: 1, want: 1 << 40},
+		// Quotients past the cap saturate instead of wrapping to
+		// MinInt64 and being floored to 1.
+		{d: 5, mult: 1, spd: 1e-300, want: effDelayCap},
+		{d: 1 << 62, mult: 4, spd: 1, want: effDelayCap},
+		{d: 5, mult: 1e308, spd: 1e-10, want: effDelayCap},
+		{d: 5, mult: math.NaN(), spd: 1, want: effDelayCap},
+	} {
+		got := EffDelay(c.d, c.mult, c.spd)
+		if got != c.want {
+			t.Errorf("EffDelay(%d, %g, %g) = %d, want %d", c.d, c.mult, c.spd, got, c.want)
+		}
+	}
+	if effDelayCap <= MaxHorizon {
+		t.Errorf("saturated delay %d is within MaxHorizon %d", effDelayCap, MaxHorizon)
 	}
 }

@@ -126,3 +126,21 @@ func finalGraph(p *model.Problem, opts Options) (*Result, *graph.Graph, error) {
 	res, err := st.runTo(stageMinPower)
 	return res, st.g, err
 }
+
+// StreamsBuilt runs opts' restarts in order on one state, as a
+// single-worker portfolio does, and reports whether the state built its
+// working stream and its perturbation stream.
+func StreamsBuilt(p *model.Problem, opts Options) (work, perturb bool, err error) {
+	c, err := schedule.Compile(p)
+	if err != nil {
+		return false, false, err
+	}
+	st := newState(context.Background(), c, opts, nil)
+	for r := range max(opts.Restarts, 1) {
+		st.reset(r)
+		if _, err := st.runTo(stageMinPower); err != nil {
+			return false, false, err
+		}
+	}
+	return st.rng != nil, st.perturbRng != nil, nil
+}

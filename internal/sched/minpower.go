@@ -116,7 +116,7 @@ func (st *state) scanOnce(sigma schedule.Schedule, order ScanOrder, slot SlotCho
 			times[i], times[j] = times[j], times[i]
 		}
 	case ScanRandom:
-		st.rng.Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
+		st.draws().Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
 	}
 
 	improved := false
@@ -180,7 +180,7 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		case SlotFinishAtGapEnd:
 			newStart = gapEnd - d
 		case SlotRandom:
-			newStart = earliest + model.Time(st.rng.Intn(latest-earliest+1))
+			newStart = earliest + model.Time(st.draws().Intn(latest-earliest+1))
 		default: // SlotStartAtGap
 			newStart = t
 		}

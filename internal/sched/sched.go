@@ -31,6 +31,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/power"
+	"repro/internal/randsrc"
 	"repro/internal/schedule"
 )
 
@@ -505,7 +506,6 @@ type state struct {
 	c    *schedule.Compiled
 	g    *graph.Graph // working graph: base + serialization + delays + locks
 	opts Options
-	rng  *rand.Rand
 	st   Stats
 	prio []int // candidate tie-break priority (identity unless perturbed)
 
@@ -533,11 +533,17 @@ type state struct {
 	choiceKey     []model.Time
 
 	// baseMark checkpoints the freshly cloned base graph so reset can
-	// roll every restart's edges back instead of re-cloning; rngSrc and
-	// perturbSrc let reset reseed the two RNG streams in place.
-	baseMark   graph.Checkpoint
-	rngSrc     rand.Source
-	perturbSrc rand.Source
+	// roll every restart's edges back instead of re-cloning.
+	baseMark graph.Checkpoint
+	// rng is the working stream, drawn only by the ScanRandom gap order
+	// and the SlotRandom slot. It is built on the state's first draw and
+	// seeded with opts.Seed on the first draw after each reset
+	// (rngSeeded), so a restart that never draws never seeds. perturbRng
+	// shuffles prio for restarts r > 0 and is built on the first one.
+	// Both are math/rand streams (randsrc seeds them faster), so every
+	// schedule is the one rand.NewSource would give.
+	rng        *rand.Rand
+	rngSeeded  bool
 	perturbRng *rand.Rand
 
 	// inc is the portfolio's shared incumbent bound (nil when the run
@@ -625,16 +631,12 @@ type state struct {
 func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atomic.Pointer[incumbent]) *state {
 	opts = opts.withDefaults()
 	st := &state{
-		c:          c,
-		g:          c.Base.Clone(),
-		opts:       opts,
-		rngSrc:     rand.NewSource(opts.Seed),
-		perturbSrc: rand.NewSource(opts.Seed),
-		ctx:        ctx,
-		inc:        inc,
+		c:    c,
+		g:    c.Base.Clone(),
+		opts: opts,
+		ctx:  ctx,
+		inc:  inc,
 	}
-	st.rng = rand.New(st.rngSrc)
-	st.perturbRng = rand.New(st.perturbSrc)
 	st.baseMark = st.g.Mark()
 	n := c.NumTasks()
 	st.prio = make([]int, n)
@@ -671,15 +673,16 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 }
 
 // reset returns the state to the condition a freshly constructed state
-// would be in — base graph, zeroed stats, reseeded RNG, identity
-// priority, cold caches — then applies restart r's perturbation, so one
-// worker runs an entire restart sequence without reallocating.
+// would be in — base graph, zeroed stats, working stream due for a
+// reseed, identity priority, cold caches — then applies restart r's
+// perturbation, so one worker runs an entire restart sequence without
+// reallocating.
 func (st *state) reset(r int) {
 	st.g.Rollback(st.baseMark)
 	st.st = Stats{}
 	st.ops = 0
 	st.ctxErr = nil
-	st.rngSrc.Seed(st.opts.Seed)
+	st.rngSeeded = false
 	for i := range st.prio {
 		st.prio[i] = i
 	}
@@ -701,8 +704,24 @@ func (st *state) perturb(r int) {
 	if r == 0 {
 		return
 	}
-	st.perturbSrc.Seed(st.opts.Seed + int64(r)*0x9e3779b9)
+	if st.perturbRng == nil {
+		st.perturbRng = rand.New(new(randsrc.Source))
+	}
+	st.perturbRng.Seed(st.opts.Seed + int64(r)*0x9e3779b9)
 	st.perturbRng.Shuffle(len(st.prio), func(i, j int) { st.prio[i], st.prio[j] = st.prio[j], st.prio[i] })
+}
+
+// draws returns the working stream, seeding it on the restart's first
+// draw.
+func (st *state) draws() *rand.Rand {
+	if !st.rngSeeded {
+		if st.rng == nil {
+			st.rng = rand.New(new(randsrc.Source))
+		}
+		st.rng.Seed(st.opts.Seed)
+		st.rngSeeded = true
+	}
+	return st.rng
 }
 
 func (st *state) result(sigma schedule.Schedule) *Result {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/model"
+	"repro/internal/randsrc"
 )
 
 // runScratch is the per-worker reusable state of the run loop: the
@@ -12,7 +13,6 @@ import (
 // the perturbed-problem copy. One scratch serves one goroutine for the
 // lifetime of a campaign; nothing in it is shared.
 type runScratch struct {
-	src rand.Source
 	rng *rand.Rand
 
 	faults   runFaults
@@ -35,20 +35,19 @@ type runScratch struct {
 }
 
 func newRunScratch() *runScratch {
-	src := rand.NewSource(0)
 	return &runScratch{
-		src:      src,
-		rng:      rand.New(src),
+		rng:      rand.New(new(randsrc.Source)), // seeded per run by seed
 		revealed: make(map[string]model.Time),
 	}
 }
 
-// seed re-seeds the scratch RNG for a run and returns it. The run loop
-// consumes only Float64 and Intn — both drawn straight from the
-// source — so re-seeding the shared source reproduces a fresh
+// seed re-seeds the scratch RNG for a run and returns it. Its source
+// is math/rand's own stream (randsrc only seeds it faster), and the run
+// loop consumes only Float64 and Intn — both drawn straight from the
+// source — so the re-seeded RNG reproduces a fresh
 // rand.New(rand.NewSource(seed)) draw-for-draw.
 func (sc *runScratch) seed(seed int64) *rand.Rand {
-	sc.src.Seed(seed)
+	sc.rng.Seed(seed)
 	return sc.rng
 }
 

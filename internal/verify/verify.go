@@ -245,9 +245,9 @@ func CheckAssigned(p *model.Problem, s schedule.Schedule, a model.Assignment) Re
 // powerAt sums the power of tasks active at second t plus base power.
 func powerAt(p *model.Problem, tasks []model.Task, s schedule.Schedule, t model.Time) float64 {
 	sum := p.BasePower
-	for i, task := range tasks {
-		if s.Start[i] <= t && t < s.Start[i]+task.Delay {
-			sum += task.Power
+	for i := range tasks { // indexed: a range value copies the ~88-byte task
+		if s.Start[i] <= t && t < s.Start[i]+tasks[i].Delay {
+			sum += tasks[i].Power
 		}
 	}
 	return sum

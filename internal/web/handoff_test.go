@@ -263,9 +263,19 @@ func TestStorePutServesDerivedDataFromTheSchedule(t *testing.T) {
 
 // TestSpecBoundsRefuseLongHorizon: a problem whose serial horizon
 // exceeds model.MaxHorizon is refused with 400 at every boundary that
-// takes a spec, before anything is scheduled or verified.
+// takes a spec, before anything is scheduled or verified — whether a
+// nominal delay is long or a machine so slow that its effective delays
+// saturate (they once wrapped to 1 s and passed the bound).
 func TestSpecBoundsRefuseLongHorizon(t *testing.T) {
-	const long = "problem long\ntask a R 100000000 1\n"
+	for _, c := range []struct{ name, spec string }{
+		{"long-delay", "problem long\ntask a R 100000000 1\n"},
+		{"slow-machine", "problem slow\nmachine slow 1e-300 1\ntask a R 50 1\ntask b S 70 1\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) { refusedEverywhere(t, c.spec) })
+	}
+}
+
+func refusedEverywhere(t *testing.T, long string) {
 	srv, ts := storedServer(t, newMapStore())
 	post := func(path, body string) (int, string) {
 		t.Helper()
