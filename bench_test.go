@@ -3,8 +3,8 @@
 // on synthetic constraint graphs. Each benchmark reports the headline
 // quantities of its artifact via b.ReportMetric (tau_s, cost_J,
 // util_pct), so `go test -bench . -benchmem` reproduces the paper's
-// rows alongside the runtime costs; the cmd/rover and cmd/mission tools
-// print the full tables.
+// rows alongside the runtime costs; `impacct rover` and `impacct
+// mission` print the full tables.
 package impacct_test
 
 import (

@@ -1,9 +1,6 @@
 package impacct
 
 import (
-	"context"
-
-	"repro/internal/analysis"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -66,17 +63,3 @@ func SharedService() *SchedulingService { return service.Shared() }
 // NewWorkerPool creates a pool running at most workers tasks at once
 // (<= 0 selects GOMAXPROCS).
 func NewWorkerPool(workers int) *WorkerPool { return service.NewPool(workers) }
-
-// SweepPmaxParallel is SweepPmax evaluated concurrently through a
-// scheduling service (nil selects SharedService): points run on the
-// service's worker pool and their schedules are cached
-// content-addressed, so overlapping re-sweeps only compute new points.
-func SweepPmaxParallel(p *Problem, budgets []float64, opts Options, svc *SchedulingService) []DesignPoint {
-	return analysis.SweepPmaxParallel(p, budgets, opts, svc)
-}
-
-// SweepPmaxParallelCtx is SweepPmaxParallel under a context: canceled
-// or never-started points carry the context's error in their Err field.
-func SweepPmaxParallelCtx(ctx context.Context, p *Problem, budgets []float64, opts Options, svc *SchedulingService) []DesignPoint {
-	return analysis.SweepPmaxParallelCtx(ctx, p, budgets, opts, svc)
-}

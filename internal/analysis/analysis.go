@@ -7,11 +7,13 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/service"
 )
 
 // Point is one evaluated design point.
@@ -32,47 +34,58 @@ func (pt Point) Feasible() bool { return pt.Err == nil }
 
 // SweepPmax schedules the problem once per max-power budget, holding
 // Pmin fixed at the problem's value, and returns one point per budget
-// in input order. Infeasible budgets yield points with Err set.
+// in input order. Infeasible budgets yield points with Err set. The
+// points evaluate on the shared scheduling service (see Sweep).
 func SweepPmax(p *model.Problem, budgets []float64, opts sched.Options) []Point {
-	pts := make([]Point, 0, len(budgets))
-	for _, pm := range budgets {
-		q := p.Clone()
-		q.Pmax = pm
-		if q.Pmin > pm {
-			q.Pmin = pm
-		}
-		pts = append(pts, run(q, opts))
-	}
-	return pts
+	return Sweep(context.Background(), nil, p, budgets, nil, opts)
 }
 
 // SweepGrid evaluates every (pmax, pmin) combination with pmin <= pmax.
 func SweepGrid(p *model.Problem, pmaxs, pmins []float64, opts sched.Options) []Point {
-	var pts []Point
+	if len(pmins) == 0 {
+		return nil
+	}
+	return Sweep(context.Background(), nil, p, pmaxs, pmins, opts)
+}
+
+// Sweep evaluates the problem under every (pmax, pmin) combination
+// with pmin <= pmax, in input order; nil pmins holds the problem's Pmin
+// (capped at each pmax) instead. The points are submitted as one batch
+// to svc (nil selects service.Shared()): they evaluate concurrently on
+// its worker pool, and each schedule lands in (or is served from) its
+// content-addressed cache. Once ctx is done, unfinished points carry
+// the context's error in their Err field.
+func Sweep(ctx context.Context, svc *service.Service, p *model.Problem, pmaxs, pmins []float64, opts sched.Options) []Point {
+	var reqs []service.Request
 	for _, pm := range pmaxs {
 		for _, pn := range pmins {
-			if pn > pm {
-				continue
+			if pn <= pm {
+				reqs = append(reqs, request(p, pm, pn, opts))
 			}
-			q := p.Clone()
-			q.Pmax, q.Pmin = pm, pn
-			pts = append(pts, run(q, opts))
+		}
+		if pmins == nil {
+			reqs = append(reqs, request(p, pm, min(p.Pmin, pm), opts))
+		}
+	}
+	if svc == nil {
+		svc = service.Shared()
+	}
+	pts := make([]Point, len(reqs))
+	for i, resp := range svc.ScheduleBatchCtx(ctx, reqs) {
+		pts[i] = Point{Pmax: reqs[i].Problem.Pmax, Pmin: reqs[i].Problem.Pmin, Err: resp.Err}
+		if resp.Err == nil {
+			pts[i].Finish = resp.Result.Finish()
+			pts[i].EnergyCost = resp.Result.EnergyCost()
+			pts[i].Utilization = resp.Result.Utilization()
 		}
 	}
 	return pts
 }
 
-func run(q *model.Problem, opts sched.Options) Point {
-	pt := Point{Pmax: q.Pmax, Pmin: q.Pmin}
-	r, err := sched.Run(q, opts)
-	if err != nil {
-		pt.Err = err
-		return pt
-	}
-	pt.Finish = r.Finish()
-	pt.EnergyCost = r.EnergyCost()
-	pt.Utilization = r.Utilization()
-	return pt
+func request(p *model.Problem, pmax, pmin float64, opts sched.Options) service.Request {
+	q := p.Clone()
+	q.Pmax, q.Pmin = pmax, pmin
+	return service.Request{Problem: q, Opts: opts, Stage: service.StageMinPower}
 }
 
 // Pareto returns the non-dominated feasible points of the

@@ -330,8 +330,8 @@ func FormatTable(a, b Report) string {
 		"", "steps", "sec", "cost(J)", "steps", "sec", "cost(J)")
 	for i := range a.Phases {
 		pa, pb := a.Phases[i], b.Phases[i]
-		out += fmt.Sprintf("%-6s solar=%-7.4gW | %6d %6d %8.1f | %6d %6d %8.1f\n",
-			pa.Cond.Case, pa.Cond.Solar,
+		label := fmt.Sprintf("%-6s solar=%-7.4gW", pa.Cond.Case, pa.Cond.Solar)
+		out += fmt.Sprintf("%-22s | %6d %6d %8.1f | %6d %6d %8.1f\n", label,
 			pa.Steps, pa.Seconds, pa.EnergyCost,
 			pb.Steps, pb.Seconds, pb.EnergyCost)
 	}

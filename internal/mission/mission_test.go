@@ -2,6 +2,7 @@ package mission
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,6 +141,28 @@ func TestFormatTableShape(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
 		}
+	}
+	// Every row puts its '|' separators at the header's byte offsets,
+	// whatever the length of its case name.
+	var header []int
+	for _, line := range strings.Split(tbl, "\n") {
+		var at []int
+		for i := range line {
+			if line[i] == '|' {
+				at = append(at, i)
+			}
+		}
+		if len(at) == 0 {
+			continue
+		}
+		if header == nil {
+			header = at
+		} else if !slices.Equal(at, header) {
+			t.Errorf("separators at %v, header's at %v:\n%s", at, header, line)
+		}
+	}
+	if len(header) != 2 {
+		t.Errorf("header has %d separators, want 2:\n%s", len(header), tbl)
 	}
 }
 

@@ -8,11 +8,15 @@ import (
 	"repro/internal/sched"
 )
 
-// optsDigest canonically hashes every field of sched.Options. The
-// encoding is fixed-width and length-prefixed, so distinct option sets
-// never share a digest. TestOptionsDigestCoversAllFields pins the
-// field set; extend this function when sched.Options grows.
+// optsDigest canonically hashes every field of sched.Options that can
+// change a result. The encoding is fixed-width and length-prefixed, so
+// distinct option sets never share a digest. TestOptionsDigestCoversAllFields
+// pins the field set; extend this function when sched.Options grows.
 func optsDigest(o sched.Options) [8]byte {
+	// Every Workers value yields byte-identical results (DESIGN §10),
+	// so all widths share the key of Workers == 0, which is also the
+	// key every default request has always had.
+	o.Workers = 0
 	h := sha256.New()
 	putInt(h, o.Seed)
 	putInt(h, int64(o.MaxBacktracks))

@@ -317,7 +317,9 @@ func TestOptionsDigestCoversAllFields(t *testing.T) {
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		if !f.IsExported() {
+		// Workers is exempt: it never changes a result, so its widths
+		// must share one key (TestWorkersShareOneKey).
+		if !f.IsExported() || f.Name == "Workers" {
 			continue
 		}
 		mut := base
@@ -350,6 +352,36 @@ func TestOptionsDigestCoversAllFields(t *testing.T) {
 		if optsDigest(mut) == baseDigest {
 			t.Errorf("optsDigest ignores sched.Options.%s: distinct option sets would share a cache key", f.Name)
 		}
+	}
+}
+
+// TestWorkersShareOneKey: requests that differ only in Workers share
+// one cache key, so a restart portfolio is computed once whatever width
+// each caller asks for, and the Workers == 0 digest is the one earlier
+// releases wrote (warm stores and handoff peers keep their keys).
+func TestWorkersShareOneKey(t *testing.T) {
+	if got := fmt.Sprintf("%x", optsDigest(sched.Options{Restarts: 8, Seed: 3})); got != "dd2436ed565ab614" {
+		t.Errorf("Workers == 0 digest moved: %s", got)
+	}
+	svc := New(Config{})
+	var first *sched.Result
+	for _, w := range []int{0, 1, 2, 8} {
+		opts := sched.Options{Restarts: 8, Workers: w}
+		if k := Key(paperex.Nine(), opts, StageMinPower); k != "d99954e84c16b904b867a881531fe557/minpower/74633354372d8374" {
+			t.Errorf("workers=%d: key %s", w, k)
+		}
+		r, err := svc.Schedule(paperex.Nine(), opts, StageMinPower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = r
+		} else if r != first {
+			t.Errorf("workers=%d recomputed instead of hitting the cache", w)
+		}
+	}
+	if st := svc.Stats(); st.Misses != 1 || st.Hits != 3 {
+		t.Errorf("misses=%d hits=%d, want 1 and 3", st.Misses, st.Hits)
 	}
 }
 
