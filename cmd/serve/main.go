@@ -61,7 +61,7 @@ func main() {
 		cacheSize    = flag.Int("cache", 1024, "schedule cache capacity in entries (negative disables)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the persistent result store (empty disables)")
 		shardID      = flag.String("shard-id", "", "serving-tier shard label reported in /stats")
-		workers      = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "compute workers and batch bound (0 = GOMAXPROCS)")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
 
 		queue          = flag.Int("queue", 0, "admission-control wait queue (0 = 8x workers, negative = no queue)")

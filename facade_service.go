@@ -7,19 +7,16 @@ import (
 
 // Scheduling service layer (see internal/service): a concurrency-safe
 // front for the pipeline with a content-addressed result cache,
-// singleflight deduplication, a bounded worker pool, and expvar
-// metrics.
+// singleflight deduplication, bounded batch fan-out, and metrics.
 type (
 	// SchedulingService caches and deduplicates pipeline runs.
 	SchedulingService = service.Service
-	// ServiceConfig tunes cache capacity and pool size.
+	// ServiceConfig tunes cache capacity and worker count.
 	ServiceConfig = service.Config
 	// ServiceStats is a metrics snapshot (the /stats JSON shape).
 	ServiceStats = service.Stats
 	// PipelineStage selects how much of the pipeline a request runs.
 	PipelineStage = service.Stage
-	// WorkerPool is a bounded worker pool for batch evaluation.
-	WorkerPool = service.Pool
 	// ResultStore is a persistent content-addressed result store (an
 	// append-log with crash-safe recovery); wire one into
 	// ServiceConfig.Store to back the in-memory cache with a
@@ -59,7 +56,3 @@ func OpenResultStore(path string, opts ResultStoreOptions) (*ResultStore, error)
 
 // SharedService returns the process-wide default scheduling service.
 func SharedService() *SchedulingService { return service.Shared() }
-
-// NewWorkerPool creates a pool running at most workers tasks at once
-// (<= 0 selects GOMAXPROCS).
-func NewWorkerPool(workers int) *WorkerPool { return service.NewPool(workers) }

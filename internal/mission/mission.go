@@ -222,10 +222,9 @@ func fly(phases []Phase, policy Policy, bat *power.Battery, target, maxIter int)
 // JPLPolicy replays the fixed, fully serialized baseline schedule
 // regardless of conditions: 75 s and two steps per iteration, with the
 // energy cost that schedule incurs under the current case's powers.
+// Each case's iteration is measured once and kept in the policy.
 type JPLPolicy struct {
-	// Svc memoizes the per-case iteration summary; nil selects the
-	// process-wide service.Shared().
-	Svc *service.Service
+	iters map[rover.Case]Iteration
 }
 
 // Name implements Policy.
@@ -236,25 +235,22 @@ func (p *JPLPolicy) Reset() {}
 
 // Next implements Policy.
 func (p *JPLPolicy) Next(cond Condition) (Iteration, error) {
-	svc := p.Svc
-	if svc == nil {
-		svc = service.Shared()
+	if it, ok := p.iters[cond.Case]; ok {
+		return it, nil
 	}
-	key := fmt.Sprintf("mission/jpl/%s", cond.Case)
-	v, err := svc.Memo(key, func() (any, error) {
-		prob, s := rover.JPL(cond.Case)
-		m := rover.Measure(prob, s)
-		return Iteration{
-			Name:       fmt.Sprintf("jpl-%s", cond.Case),
-			Duration:   m.Finish,
-			EnergyCost: m.EnergyCost,
-			Steps:      rover.StepsPerIteration,
-		}, nil
-	})
-	if err != nil {
-		return Iteration{}, err
+	prob, s := rover.JPL(cond.Case)
+	m := rover.Measure(prob, s)
+	it := Iteration{
+		Name:       fmt.Sprintf("jpl-%s", cond.Case),
+		Duration:   m.Finish,
+		EnergyCost: m.EnergyCost,
+		Steps:      rover.StepsPerIteration,
 	}
-	return v.(Iteration), nil
+	if p.iters == nil {
+		p.iters = make(map[rover.Case]Iteration)
+	}
+	p.iters[cond.Case] = it
+	return it, nil
 }
 
 // PowerAwarePolicy runs the paper's power-aware schedules: per case, a

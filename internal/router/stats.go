@@ -89,7 +89,7 @@ func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 	var agg service.Stats
 	for _, sh := range shards {
 		if sh.Stats != nil {
-			addStats(&agg, sh.Stats.Stats)
+			agg.Add(sh.Stats.Stats)
 		}
 	}
 	self := RouterStats{
@@ -106,42 +106,4 @@ func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
-}
-
-// addStats folds one shard's snapshot into the aggregate. Counters and
-// capacity gauges sum; StartTime keeps the earliest boot and
-// UptimeSeconds the shortest uptime (the weakest-link warm-up age of
-// the tier); ComputeNS merges per bucket.
-func addStats(agg *service.Stats, s service.Stats) {
-	agg.Hits += s.Hits
-	agg.Misses += s.Misses
-	agg.Joins += s.Joins
-	agg.Evictions += s.Evictions
-	agg.Inflight += s.Inflight
-	agg.Entries += s.Entries
-	agg.HitsL2 += s.HitsL2
-	agg.StoreEntries += s.StoreEntries
-	agg.StoreBytes += s.StoreBytes
-	agg.StorePutErrors += s.StorePutErrors
-	agg.Canceled += s.Canceled
-	agg.DeadlineExceeded += s.DeadlineExceeded
-	agg.Shed += s.Shed
-	agg.Panics += s.Panics
-	agg.Queued += s.Queued
-	agg.HandoffsSent += s.HandoffsSent
-	agg.HandoffSendErrors += s.HandoffSendErrors
-	agg.HandoffsReceived += s.HandoffsReceived
-	agg.HandoffsRejected += s.HandoffsRejected
-	if agg.StartTime == 0 || (s.StartTime != 0 && s.StartTime < agg.StartTime) {
-		agg.StartTime = s.StartTime
-	}
-	if agg.UptimeSeconds == 0 || (s.UptimeSeconds != 0 && s.UptimeSeconds < agg.UptimeSeconds) {
-		agg.UptimeSeconds = s.UptimeSeconds
-	}
-	if len(s.ComputeNS) > 0 && agg.ComputeNS == nil {
-		agg.ComputeNS = make(map[string]int64)
-	}
-	for k, v := range s.ComputeNS {
-		agg.ComputeNS[k] += v
-	}
 }

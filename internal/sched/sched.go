@@ -387,16 +387,8 @@ func runPipeline(ctx context.Context, p *model.Problem, opts Options, upTo stage
 	return best, nil
 }
 
-func better(a, b *Result) bool {
-	af, bf := a.Finish(), b.Finish()
-	if af != bf {
-		return af < bf
-	}
-	return a.EnergyCost() < b.EnergyCost()
-}
-
-// betterIdx extends better to the portfolio's total order: finish, then
-// energy cost, then restart index. Its minimum is associative and
+// betterIdx is the portfolio's total order: finish, then energy cost,
+// then restart index. Its minimum is associative and
 // commutative, so per-worker local minima fold into the same global
 // winner the sequential scan picks.
 func betterIdx(a *Result, ai int, b *Result, bi int) bool {

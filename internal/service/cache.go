@@ -2,7 +2,9 @@ package service
 
 import (
 	"container/list"
-	"expvar"
+	"sync/atomic"
+
+	"repro/internal/sched"
 )
 
 // lruCache is a plain LRU over string keys. It is not safe for
@@ -11,17 +13,17 @@ type lruCache struct {
 	cap       int
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
-	evictions *expvar.Int
+	evictions *atomic.Int64
 }
 
 type lruEntry struct {
 	key string
-	val any
+	val *sched.Result
 }
 
 // newLRU creates a cache holding up to capacity entries. Capacity 0
 // disables caching: add is a no-op and get always misses.
-func newLRU(capacity int, evictions *expvar.Int) *lruCache {
+func newLRU(capacity int, evictions *atomic.Int64) *lruCache {
 	return &lruCache{
 		cap:       capacity,
 		ll:        list.New(),
@@ -30,7 +32,7 @@ func newLRU(capacity int, evictions *expvar.Int) *lruCache {
 	}
 }
 
-func (c *lruCache) get(key string) (any, bool) {
+func (c *lruCache) get(key string) (*sched.Result, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -39,7 +41,7 @@ func (c *lruCache) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-func (c *lruCache) add(key string, val any) {
+func (c *lruCache) add(key string, val *sched.Result) {
 	if c.cap == 0 {
 		return
 	}

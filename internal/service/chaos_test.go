@@ -41,7 +41,7 @@ func TestChaosCancelPanicOverload(t *testing.T) {
 
 	svc := New(Config{Workers: 2, MaxQueue: 2, CacheSize: 64})
 	var hookCalls atomic.Int64
-	restore := TestingSetComputeHook(func(string) {
+	restore := TestingSetComputeHook(func(context.Context, string) {
 		n := hookCalls.Add(1)
 		if n%7 == 0 {
 			panic(fmt.Sprintf("chaos: injected panic #%d", n))

@@ -6,42 +6,43 @@ import (
 	"expvar"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// metrics is the service's counter set. The counters are expvar values
-// so they can be wired straight into /debug/vars, but they are not
-// auto-published: tests create many Services, and expvar.Publish
-// panics on duplicate names. Publish exports one service explicitly.
+// metrics is the service's counter set. Stats snapshots it into the
+// one metrics schema, which /stats serves and Publish exports.
 type metrics struct {
-	hits      expvar.Int // L1 (in-memory LRU) cache hits
-	hitsL2    expvar.Int // persistent-store hits rehydrated into L1
-	misses    expvar.Int // computes (cache misses that started a flight)
-	joins     expvar.Int // singleflight joins onto an in-flight compute
-	evictions expvar.Int // LRU evictions
-	inflight  expvar.Int // currently computing flights (gauge)
-	storeErrs expvar.Int // persistent-store write-through failures
+	hits      atomic.Int64 // L1 (in-memory LRU) cache hits
+	hitsL2    atomic.Int64 // persistent-store hits rehydrated into L1
+	misses    atomic.Int64 // computes (cache misses that started a flight)
+	joins     atomic.Int64 // singleflight joins onto an in-flight compute
+	evictions atomic.Int64 // LRU evictions
+	inflight  atomic.Int64 // currently computing flights (gauge)
+	storeErrs atomic.Int64 // persistent-store write-through failures
 
 	// Failure-mode counters, per request: canceled requests, requests
 	// whose deadline passed (before or during compute), requests shed
 	// by admission control, and computes that panicked.
-	canceled         expvar.Int
-	deadlineExceeded expvar.Int
-	shed             expvar.Int
-	panics           expvar.Int
+	canceled         atomic.Int64
+	deadlineExceeded atomic.Int64
+	shed             atomic.Int64
+	panics           atomic.Int64
 
 	// Hinted-handoff counters: records this shard shipped to an owner
 	// after answering a failed-over request (and shipments that failed),
 	// and records shipped *to* this shard that were accepted into the
 	// store or rejected by validation.
-	handoffsSent     expvar.Int
-	handoffSendErrs  expvar.Int
-	handoffsReceived expvar.Int
-	handoffsRejected expvar.Int
+	handoffsSent     atomic.Int64
+	handoffSendErrs  atomic.Int64
+	handoffsReceived atomic.Int64
+	handoffsRejected atomic.Int64
+
+	// computeNS is the cumulative compute time per pipeline stage.
+	computeNS [StageMinPower + 1]atomic.Int64
 
 	mu        sync.Mutex
-	compute   map[string]*expvar.Int // compute nanoseconds per stage bucket
-	lastPanic string                 // last contained panic: value + stack (metrics only, never responses)
+	lastPanic string // last contained panic: value + stack (metrics only, never responses)
 }
 
 // countCtxErr buckets a request-terminating context error.
@@ -72,35 +73,8 @@ func (m *metrics) lastPanicSnapshot() string {
 	return m.lastPanic
 }
 
-// computeNS returns the compute-time counter for a stage bucket
-// ("timing", "maxpower", "minpower", "memo"), creating it on first use.
-func (m *metrics) computeNS(bucket string) *expvar.Int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.compute == nil {
-		m.compute = make(map[string]*expvar.Int)
-	}
-	v, ok := m.compute[bucket]
-	if !ok {
-		v = new(expvar.Int)
-		m.compute[bucket] = v
-	}
-	return v
-}
-
-// computeSnapshot copies the per-bucket compute counters.
-func (m *metrics) computeSnapshot() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.compute))
-	for k, v := range m.compute {
-		out[k] = v.Value()
-	}
-	return out
-}
-
 // Stats is a point-in-time snapshot of the service's metrics, shaped
-// for JSON (the /stats endpoint).
+// for JSON: the /stats document, also exported at /debug/vars.
 type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -135,8 +109,9 @@ type Stats struct {
 	HandoffSendErrors int64 `json:"handoff_send_errors"`
 	HandoffsReceived  int64 `json:"handoffs_received"`
 	HandoffsRejected  int64 `json:"handoffs_rejected"`
-	// ComputeNS is the cumulative compute time per stage bucket in
-	// nanoseconds.
+	// ComputeNS is the cumulative compute time per pipeline stage in
+	// nanoseconds, keyed by Stage.String(); a stage appears once it has
+	// computed.
 	ComputeNS map[string]int64 `json:"compute_ns"`
 }
 
@@ -152,98 +127,91 @@ func (s *Service) Stats() Stats {
 		storeEntries = s.store.Len()
 		storeBytes = s.store.Size()
 	}
+	compute := make(map[string]int64)
+	for stage := range s.met.computeNS {
+		if ns := s.met.computeNS[stage].Load(); ns != 0 {
+			compute[Stage(stage).String()] = ns
+		}
+	}
 	return Stats{
-		Hits:              s.met.hits.Value(),
-		Misses:            s.met.misses.Value(),
-		Joins:             s.met.joins.Value(),
-		Evictions:         s.met.evictions.Value(),
-		Inflight:          s.met.inflight.Value(),
+		Hits:              s.met.hits.Load(),
+		Misses:            s.met.misses.Load(),
+		Joins:             s.met.joins.Load(),
+		Evictions:         s.met.evictions.Load(),
+		Inflight:          s.met.inflight.Load(),
 		Entries:           entries,
-		HitsL2:            s.met.hitsL2.Value(),
+		HitsL2:            s.met.hitsL2.Load(),
 		StoreEntries:      storeEntries,
 		StoreBytes:        storeBytes,
-		StorePutErrors:    s.met.storeErrs.Value(),
+		StorePutErrors:    s.met.storeErrs.Load(),
 		StartTime:         s.started.Unix(),
 		UptimeSeconds:     time.Since(s.started).Seconds(),
-		Canceled:          s.met.canceled.Value(),
-		DeadlineExceeded:  s.met.deadlineExceeded.Value(),
-		Shed:              s.met.shed.Value(),
-		Panics:            s.met.panics.Value(),
+		Canceled:          s.met.canceled.Load(),
+		DeadlineExceeded:  s.met.deadlineExceeded.Load(),
+		Shed:              s.met.shed.Load(),
+		Panics:            s.met.panics.Load(),
 		Queued:            queued,
-		HandoffsSent:      s.met.handoffsSent.Value(),
-		HandoffSendErrors: s.met.handoffSendErrs.Value(),
-		HandoffsReceived:  s.met.handoffsReceived.Value(),
-		HandoffsRejected:  s.met.handoffsRejected.Value(),
-		ComputeNS:         s.met.computeSnapshot(),
+		HandoffsSent:      s.met.handoffsSent.Load(),
+		HandoffSendErrors: s.met.handoffSendErrs.Load(),
+		HandoffsReceived:  s.met.handoffsReceived.Load(),
+		HandoffsRejected:  s.met.handoffsRejected.Load(),
+		ComputeNS:         compute,
 	}
 }
 
-// Vars assembles the live metrics into an expvar.Map. The map shares
-// the underlying counters, so a single Vars call wired into an expvar
-// page stays current. Metric names: hits, misses, joins, evictions,
-// inflight, canceled, deadline_exceeded, shed, panics, queued,
-// last_panic (the contained stack, metrics-only), cache_entries,
-// hits_l2 / store_entries / store_bytes / store_put_errors for the
-// persistent tier, start_time / uptime_seconds, and
-// compute_ns_<stage> per stage bucket.
-func (s *Service) Vars() *expvar.Map {
-	m := new(expvar.Map)
-	m.Set("hits", &s.met.hits)
-	m.Set("hits_l2", &s.met.hitsL2)
-	m.Set("store_put_errors", &s.met.storeErrs)
-	m.Set("store_entries", expvar.Func(func() any {
-		if s.store == nil {
-			return 0
-		}
-		return s.store.Len()
-	}))
-	m.Set("store_bytes", expvar.Func(func() any {
-		if s.store == nil {
-			return int64(0)
-		}
-		return s.store.Size()
-	}))
-	m.Set("start_time", expvar.Func(func() any { return s.started.Unix() }))
-	m.Set("uptime_seconds", expvar.Func(func() any { return time.Since(s.started).Seconds() }))
-	m.Set("misses", &s.met.misses)
-	m.Set("joins", &s.met.joins)
-	m.Set("evictions", &s.met.evictions)
-	m.Set("inflight", &s.met.inflight)
-	m.Set("canceled", &s.met.canceled)
-	m.Set("deadline_exceeded", &s.met.deadlineExceeded)
-	m.Set("shed", &s.met.shed)
-	m.Set("panics", &s.met.panics)
-	m.Set("handoffs_sent", &s.met.handoffsSent)
-	m.Set("handoff_send_errors", &s.met.handoffSendErrs)
-	m.Set("handoffs_received", &s.met.handoffsReceived)
-	m.Set("handoffs_rejected", &s.met.handoffsRejected)
-	m.Set("queued", expvar.Func(func() any {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.queued
-	}))
-	m.Set("last_panic", expvar.Func(func() any {
-		return s.met.lastPanicSnapshot()
-	}))
-	m.Set("cache_entries", expvar.Func(func() any {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.cache.len()
-	}))
-	for _, bucket := range []string{"timing", "maxpower", "minpower", "memo"} {
-		m.Set("compute_ns_"+bucket, s.met.computeNS(bucket))
+// Add folds another snapshot into st, as a router aggregating its
+// shards does. Counters and capacity gauges sum; StartTime keeps the
+// earliest boot and UptimeSeconds the shortest uptime (the
+// weakest-link warm-up age of the tier); ComputeNS merges per stage.
+func (st *Stats) Add(s Stats) {
+	st.Hits += s.Hits
+	st.Misses += s.Misses
+	st.Joins += s.Joins
+	st.Evictions += s.Evictions
+	st.Inflight += s.Inflight
+	st.Entries += s.Entries
+	st.HitsL2 += s.HitsL2
+	st.StoreEntries += s.StoreEntries
+	st.StoreBytes += s.StoreBytes
+	st.StorePutErrors += s.StorePutErrors
+	st.Canceled += s.Canceled
+	st.DeadlineExceeded += s.DeadlineExceeded
+	st.Shed += s.Shed
+	st.Panics += s.Panics
+	st.Queued += s.Queued
+	st.HandoffsSent += s.HandoffsSent
+	st.HandoffSendErrors += s.HandoffSendErrors
+	st.HandoffsReceived += s.HandoffsReceived
+	st.HandoffsRejected += s.HandoffsRejected
+	if st.StartTime == 0 || (s.StartTime != 0 && s.StartTime < st.StartTime) {
+		st.StartTime = s.StartTime
 	}
-	return m
+	if st.UptimeSeconds == 0 || (s.UptimeSeconds != 0 && s.UptimeSeconds < st.UptimeSeconds) {
+		st.UptimeSeconds = s.UptimeSeconds
+	}
+	if len(s.ComputeNS) > 0 && st.ComputeNS == nil {
+		st.ComputeNS = make(map[string]int64)
+	}
+	for k, v := range s.ComputeNS {
+		st.ComputeNS[k] += v
+	}
 }
 
 // Publish exports the service's metrics under the given expvar name
-// (visible at /debug/vars). It reports false when the name is already
-// taken — expvar registration is process-global and permanent, so only
-// the first service under a name wins.
+// (visible at /debug/vars): the Stats document, recomputed on every
+// read, plus last_panic, the stack of the most recent contained panic.
+// It reports false when the name is already taken — expvar
+// registration is process-global and permanent, so only the first
+// service under a name wins.
 func (s *Service) Publish(name string) bool {
 	if expvar.Get(name) != nil {
 		return false
 	}
-	expvar.Publish(name, s.Vars())
+	expvar.Publish(name, expvar.Func(func() any {
+		return struct {
+			Stats
+			LastPanic string `json:"last_panic"`
+		}{s.Stats(), s.met.lastPanicSnapshot()}
+	}))
 	return true
 }

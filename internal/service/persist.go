@@ -149,33 +149,3 @@ func (r *recordReader) next(what string, lo, hi int) int {
 	}
 	return int(v)
 }
-
-// persistCodec carries a request's L2 hooks through do into compute.
-// It is nil for requests that have no persistent representation (Memo
-// flights, or a service without a store).
-type persistCodec struct {
-	key    string                    // store key (version-prefixed cache key)
-	decode func([]byte) (any, error) // store hit -> live value
-	encode func(any) []byte          // computed value -> store record, nil for none
-}
-
-// scheduleCodec builds the L2 codec for a Schedule request on problem
-// p. The closure keeps p alive only until the request resolves.
-func (s *Service) scheduleCodec(key string, p *model.Problem) *persistCodec {
-	if s.store == nil {
-		return nil
-	}
-	return &persistCodec{
-		key: storeKeyPrefix + key,
-		decode: func(data []byte) (any, error) {
-			return decodeResult(p, data)
-		},
-		encode: func(v any) []byte {
-			res := v.(*sched.Result)
-			if res.Finish() > model.MaxHorizon {
-				return nil // the decoder would refuse it: keep no record
-			}
-			return EncodeResult(res)
-		},
-	}
-}

@@ -11,7 +11,8 @@
 //   - an LRU result cache, so repeated queries cost a map lookup;
 //   - singleflight deduplication, so concurrent identical requests
 //     compute once and share the result; and
-//   - a bounded worker pool for batch submission (sweeps, grids).
+//   - a service-wide bound on batch fan-out (sweeps, grids), so batches
+//     never trip their own admission control.
 //
 // On top of the cache the service is the system's resilience boundary:
 //
@@ -29,11 +30,11 @@
 //     last waiter leaves is the underlying compute canceled. Canceled
 //     and crashed computes are never cached.
 //
-// Everything observable is counted in expvar-backed metrics (hits,
-// misses, singleflight joins, evictions, inflight computes, canceled /
+// Everything observable is counted in atomic metrics (hits, misses,
+// singleflight joins, evictions, inflight computes, canceled /
 // deadline-exceeded / shed / panicked requests, and compute
-// nanoseconds per pipeline stage), exportable at /debug/vars and as a
-// /stats JSON snapshot.
+// nanoseconds per pipeline stage), snapshotted by Stats — the /stats
+// document, which Publish also exports at /debug/vars.
 //
 // Cached *sched.Result values are shared between callers and must be
 // treated as immutable.
@@ -97,8 +98,9 @@ type Config struct {
 	// CacheSize bounds the number of cached results (default 1024).
 	// Negative disables caching (singleflight still applies).
 	CacheSize int
-	// Workers bounds both the batch worker pool and the number of
-	// concurrently running computes (default GOMAXPROCS).
+	// Workers bounds both the number of concurrently running computes
+	// and the number of batch entries in flight across all batches
+	// (default GOMAXPROCS).
 	Workers int
 	// MaxQueue bounds how many compute requests may wait for a free
 	// worker slot before further ones are shed with ErrOverloaded
@@ -118,19 +120,21 @@ type Config struct {
 }
 
 // Service fronts the scheduling pipeline with a content-addressed
-// cache, singleflight deduplication, and a batch worker pool. Create
-// one with New; the zero value is not usable.
+// cache, singleflight deduplication, and a bounded batch fan-out.
+// Create one with New; the zero value is not usable.
 type Service struct {
 	mu       sync.Mutex
 	cache    *lruCache
 	inflight map[string]*call
-	pool     *Pool
 	met      metrics
 
 	// slots bounds concurrently running computes; queued counts
 	// requests waiting for a slot (guarded by mu, bounded by
-	// maxQueue). wg tracks live compute goroutines for Drain.
+	// maxQueue). wg tracks live compute goroutines for Drain. batch
+	// holds one token per batch entry in flight, across every
+	// concurrent batch, and has the same capacity as slots.
 	slots          chan struct{}
+	batch          chan struct{}
 	queued         int
 	maxQueue       int
 	defaultTimeout time.Duration
@@ -149,7 +153,7 @@ type Service struct {
 // last one to leave cancels the compute's context.
 type call struct {
 	done    chan struct{}
-	val     any
+	val     *sched.Result
 	err     error
 	waiters int
 	cancel  context.CancelFunc
@@ -174,8 +178,8 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		inflight:       make(map[string]*call),
-		pool:           NewPool(cfg.Workers),
 		slots:          make(chan struct{}, cfg.Workers),
+		batch:          make(chan struct{}, cfg.Workers),
 		maxQueue:       cfg.MaxQueue,
 		defaultTimeout: cfg.DefaultTimeout,
 		store:          cfg.Store,
@@ -244,54 +248,26 @@ func (s *Service) ScheduleCtx(ctx context.Context, p *model.Problem, opts sched.
 // fingerprinting is a canonical serialization plus a hash, and doing
 // it once instead of three times is a measurable win per contingency.
 func (s *Service) ScheduleFPCtx(ctx context.Context, fp string, p *model.Problem, opts sched.Options, stage Stage) (*sched.Result, error) {
-	key := KeyFP(fp, opts, stage)
-	v, err := s.do(ctx, key, stage.String(), s.scheduleCodec(key, p), func(cctx context.Context) (any, error) {
-		q := p.Clone()
-		switch stage {
-		case StageTiming:
-			return sched.TimingCtx(cctx, q, opts)
-		case StageMaxPower:
-			return sched.MaxPowerCtx(cctx, q, opts)
-		case StageMinPower:
-			return sched.MinPowerCtx(cctx, q, opts)
-		}
+	if stage < StageTiming || stage > StageMinPower {
 		return nil, fmt.Errorf("service: unknown stage %d", int(stage))
-	})
-	if err != nil {
-		return nil, err
 	}
-	return v.(*sched.Result), nil
-}
-
-// Memo runs fn at most once per key, caching its value alongside
-// scheduling results (same LRU, same singleflight, metrics bucketed
-// under "memo"). It exists for derived computations that are
-// deterministic in some content-addressed key but are not a bare
-// pipeline run — e.g. the mission policies' per-condition iteration
-// summaries. Keys are namespaced apart from Schedule's internally.
-func (s *Service) Memo(key string, fn func() (any, error)) (any, error) {
-	return s.MemoCtx(context.Background(), key, func(context.Context) (any, error) { return fn() })
-}
-
-// MemoCtx is Memo under a context: fn receives the flight's compute
-// context (detached from any single caller, canceled when the last
-// waiter leaves) and should poll it if it runs long.
-func (s *Service) MemoCtx(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
-	return s.do(ctx, "memo:"+key, "memo", nil, fn)
+	return s.do(ctx, KeyFP(fp, opts, stage), p, opts, stage)
 }
 
 // testHook is the chaos-test injection point: when set, every compute
-// invokes it with the request's cache key, inside the panic-containment
-// boundary and before the pipeline runs. Tests inject latency (to hold
-// worker slots) and panics (to exercise containment) through it.
-var testHook atomic.Pointer[func(string)]
+// invokes it with the compute's context and the request's cache key,
+// inside the panic-containment boundary and before the pipeline runs.
+// Tests inject latency (to hold worker slots, watching the context to
+// observe cancellation) and panics (to exercise containment) through
+// it.
+var testHook atomic.Pointer[func(context.Context, string)]
 
 // TestingSetComputeHook installs fn as the compute-entry hook and
 // returns a function restoring the previous hook. It exists so chaos
 // tests (including internal/web's) can simulate slow and crashing
 // pipelines; production code must never call it.
-func TestingSetComputeHook(fn func(key string)) (restore func()) {
-	var p *func(string)
+func TestingSetComputeHook(fn func(ctx context.Context, key string)) (restore func()) {
+	var p *func(context.Context, string)
 	if fn != nil {
 		p = &fn
 	}
@@ -343,10 +319,11 @@ func (s *Service) acquireCompute(ctx context.Context) error {
 	}
 }
 
-// do is the shared cache + singleflight + admission core. Errors are
-// returned to every waiter of the computing flight but are never
-// cached: a later identical request retries from scratch.
-func (s *Service) do(ctx context.Context, key, bucket string, codec *persistCodec, fn func(context.Context) (any, error)) (any, error) {
+// do is the shared cache + singleflight + admission core for the
+// request under key. Errors are returned to every waiter of the
+// computing flight but are never cached: a later identical request
+// retries from scratch.
+func (s *Service) do(ctx context.Context, key string, p *model.Problem, opts sched.Options, stage Stage) (*sched.Result, error) {
 	ctx, release := s.withBudget(ctx)
 	defer release()
 	if err := ctx.Err(); err != nil {
@@ -372,9 +349,9 @@ func (s *Service) do(ctx context.Context, key, bucket string, codec *persistCode
 	// cheaper than the pipeline. An undecodable record degrades to a
 	// miss. Two racing probes may both rehydrate and both fill L1;
 	// that is benign (identical content, last write wins).
-	if codec != nil {
-		if data, ok := s.store.Get(codec.key); ok {
-			if v, err := codec.decode(data); err == nil {
+	if s.store != nil {
+		if data, ok := s.store.Get(storeKeyPrefix + key); ok {
+			if v, err := decodeResult(p, data); err == nil {
 				s.met.hitsL2.Add(1)
 				s.mu.Lock()
 				s.cache.add(key, v)
@@ -421,18 +398,18 @@ func (s *Service) do(ctx context.Context, key, bucket string, codec *persistCode
 	s.met.inflight.Add(1)
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.compute(cctx, key, bucket, codec, c, fn)
+	go s.compute(cctx, key, p, opts, stage, c)
 	return s.wait(ctx, key, c)
 }
 
-// compute runs one flight on a reserved worker slot. Panics are
-// contained here: the stack goes into the metrics, the waiters get an
-// error wrapping ErrInternal, and the process keeps serving. Only a
-// compute that finished cleanly and was never canceled may populate
-// the cache.
-func (s *Service) compute(ctx context.Context, key, bucket string, codec *persistCodec, c *call, fn func(context.Context) (any, error)) {
+// compute runs one flight's pipeline on a reserved worker slot, on a
+// clone of p so later caller-side mutation cannot corrupt the cached
+// result. Panics are contained here: the stack goes into the metrics,
+// the waiters get an error wrapping ErrInternal, and the process keeps
+// serving. Only a compute that finished cleanly and was never canceled
+// may populate the cache and the persistent store.
+func (s *Service) compute(ctx context.Context, key string, p *model.Problem, opts sched.Options, stage Stage, c *call) {
 	defer s.wg.Done()
-	defer func() { <-s.slots }()
 	start := time.Now()
 	func() {
 		defer func() {
@@ -442,9 +419,17 @@ func (s *Service) compute(ctx context.Context, key, bucket string, codec *persis
 			}
 		}()
 		if hook := testHook.Load(); hook != nil {
-			(*hook)(key)
+			(*hook)(ctx, key)
 		}
-		c.val, c.err = fn(ctx)
+		q := p.Clone()
+		switch stage {
+		case StageTiming:
+			c.val, c.err = sched.TimingCtx(ctx, q, opts)
+		case StageMaxPower:
+			c.val, c.err = sched.MaxPowerCtx(ctx, q, opts)
+		case StageMinPower:
+			c.val, c.err = sched.MinPowerCtx(ctx, q, opts)
+		}
 	}()
 	elapsed := time.Since(start)
 
@@ -453,7 +438,7 @@ func (s *Service) compute(ctx context.Context, key, bucket string, codec *persis
 		delete(s.inflight, key)
 	}
 	s.met.inflight.Add(-1)
-	s.met.computeNS(bucket).Add(int64(elapsed))
+	s.met.computeNS[stage].Add(int64(elapsed))
 	// Never cache a canceled compute, even one that happened to finish
 	// between the cancellation and this check: only results every
 	// still-interested caller could have observed are cacheable.
@@ -464,14 +449,16 @@ func (s *Service) compute(ctx context.Context, key, bucket string, codec *persis
 	s.mu.Unlock()
 	// Write-through to the persistent tier outside the lock: the store
 	// serializes internally, and a disk failure only costs a future
-	// recompute, never the response.
-	if cacheable && codec != nil {
-		if data := codec.encode(c.val); data != nil {
-			if err := s.store.Put(codec.key, data); err != nil {
-				s.met.storeErrs.Add(1)
-			}
+	// recompute, never the response. A plan past model.MaxHorizon gets
+	// no record: the decoder would refuse it.
+	if cacheable && s.store != nil && c.val.Finish() <= model.MaxHorizon {
+		if err := s.store.Put(storeKeyPrefix+key, EncodeResult(c.val)); err != nil {
+			s.met.storeErrs.Add(1)
 		}
 	}
+	// Free the slot before waking the waiters: a caller holding its
+	// answer must find the worker free for its next request.
+	<-s.slots
 	c.cancel()
 	close(c.done)
 }
@@ -481,7 +468,7 @@ func (s *Service) compute(ctx context.Context, key, bucket string, codec *persis
 // the last waiter to leave removes the flight from the dedup map (so
 // new requests start fresh instead of joining a dying compute) and
 // cancels the compute's context.
-func (s *Service) wait(ctx context.Context, key string, c *call) (any, error) {
+func (s *Service) wait(ctx context.Context, key string, c *call) (*sched.Result, error) {
 	select {
 	case <-c.done:
 		return c.val, c.err
@@ -533,37 +520,49 @@ type Response struct {
 	Err    error
 }
 
-// ScheduleBatch evaluates all requests on the service's bounded worker
-// pool and returns responses in request order. Identical requests
-// (within the batch or across callers) are deduplicated by the cache
-// and singleflight exactly like sequential calls.
+// ScheduleBatch evaluates all requests, at most Workers at once, and
+// returns responses in request order. Identical requests (within the
+// batch or across callers) are deduplicated by the cache and
+// singleflight exactly like sequential calls.
 func (s *Service) ScheduleBatch(reqs []Request) []Response {
 	return s.ScheduleBatchCtx(context.Background(), reqs)
 }
 
 // ScheduleBatchCtx is ScheduleBatch under a context: cancellation
 // stops further submission, aborts the in-flight entries through their
-// pipelines' cooperative checks, and marks every unevaluated entry
-// with the context's error. The batch pool fans out at most Workers
-// entries at once, each of which then takes a compute slot, so a batch
-// cannot trip its own service's admission control.
+// pipelines' cooperative checks, and marks every unsubmitted entry
+// with the context's error. An entry is submitted only once it holds
+// one of the service's Workers batch tokens, shared by every
+// concurrent batch, and each submitted entry then takes a compute
+// slot, so no number of concurrent batches can trip the service's
+// admission control.
 func (s *Service) ScheduleBatchCtx(ctx context.Context, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
-	ran := make([]bool, len(reqs))
-	err := s.pool.ForEachCtx(ctx, len(reqs), func(i int) {
-		ran[i] = true
-		out[i].Result, out[i].Err = s.ScheduleCtx(ctx, reqs[i].Problem, reqs[i].Opts, reqs[i].Stage)
-	})
-	if err != nil {
-		for i := range out {
-			if !ran[i] {
-				out[i].Err = err
+	var wg sync.WaitGroup
+	for i := range reqs {
+		select {
+		case s.batch <- struct{}{}:
+		case <-ctx.Done():
+			for j := i; j < len(reqs); j++ {
+				out[j].Err = ctx.Err()
 			}
+			wg.Wait()
+			return out
 		}
+		wg.Add(1)
+		go func(i int) {
+			defer func() {
+				<-s.batch
+				wg.Done()
+			}()
+			r := reqs[i]
+			out[i].Result, out[i].Err = s.ScheduleCtx(ctx, r.Problem, r.Opts, r.Stage)
+		}(i)
 	}
+	wg.Wait()
 	return out
 }
 
-// Pool exposes the service's worker pool for callers that batch
-// non-scheduling work (e.g. evaluating design points).
-func (s *Service) Pool() *Pool { return s.pool }
+// Workers returns the service's concurrency bound: its number of
+// compute slots and of batch tokens.
+func (s *Service) Workers() int { return cap(s.slots) }

@@ -125,7 +125,7 @@ func (c Campaign) ReduceRange(ctx context.Context, lo, hi int) (*Reducer, error)
 	if cfg.MaxReschedules <= 0 {
 		cfg.MaxReschedules = DefaultMaxReschedules
 	}
-	workers := cfg.Svc.Pool().Workers()
+	workers := cfg.Svc.Workers()
 	if workers > hi-lo {
 		workers = hi - lo
 	}

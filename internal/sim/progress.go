@@ -1,19 +1,14 @@
 package sim
 
-import (
-	"expvar"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Campaign progress counters. They are process-global — a campaign is
-// a whole-process activity — and expvar-typed so they can be wired
-// into /debug/vars, but not auto-published (tests run many campaigns;
-// expvar.Publish panics on duplicate names). The web layer snapshots
-// them into /stats via Progress.
+// a whole-process activity — and the web layer snapshots them into
+// /stats via Progress.
 var (
-	progRunsDone      expvar.Int   // runs folded into a reducer (any outcome)
-	progRunsFailed    expvar.Int   // folded runs that did not survive
-	progReducerMerges expvar.Int   // Reducer.Merge calls (worker + shard merges)
+	progRunsDone      atomic.Int64 // runs folded into a reducer (any outcome)
+	progRunsFailed    atomic.Int64 // folded runs that did not survive
+	progReducerMerges atomic.Int64 // Reducer.Merge calls (worker + shard merges)
 	progHighWater     atomic.Int64 // highest completed run index, CAS-maxed
 )
 
@@ -48,21 +43,9 @@ type ProgressStats struct {
 // Progress snapshots the process-global campaign counters.
 func Progress() ProgressStats {
 	return ProgressStats{
-		RunsDone:      progRunsDone.Value(),
-		RunsFailed:    progRunsFailed.Value(),
-		ReducerMerges: progReducerMerges.Value(),
+		RunsDone:      progRunsDone.Load(),
+		RunsFailed:    progRunsFailed.Load(),
+		ReducerMerges: progReducerMerges.Load(),
 		SeedHighWater: progHighWater.Load(),
 	}
-}
-
-// ProgressVars assembles the live campaign counters into an expvar.Map
-// (names: runs_done, runs_failed, reducer_merges, seed_high_water).
-// The map shares the counters, so one wiring stays current.
-func ProgressVars() *expvar.Map {
-	m := new(expvar.Map)
-	m.Set("runs_done", &progRunsDone)
-	m.Set("runs_failed", &progRunsFailed)
-	m.Set("reducer_merges", &progReducerMerges)
-	m.Set("seed_high_water", expvar.Func(func() any { return progHighWater.Load() }))
-	return m
 }

@@ -1,6 +1,9 @@
 package spec
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,6 +41,60 @@ func FuzzParse(f *testing.F) {
 		}
 		if !problemsEqual(p, q) {
 			t.Fatalf("round-trip changed the problem:\n%s", Format(p))
+		}
+	})
+}
+
+// FuzzParseScheduleJSON exercises the schedule-document reader that
+// /verify and cmd/validate share, against the paper's nine-task
+// example: it must never panic, and any schedule it accepts must give
+// every task exactly one start and round-trip through
+// FormatScheduleJSON.
+func FuzzParseScheduleJSON(f *testing.F) {
+	p, err := ParseFile("../../testdata/example9.spec")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds, err := filepath.Glob("../web/testdata/schedule-*.json")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no schedule seeds: %v", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{
+		"",
+		"{}",
+		`{"tasks": null}`,
+		`{"tasks": [{"name": "a", "start": 0}, {"name": "a", "start": 1}]}`,
+		`{"tasks": [{"name": "a", "start": -5}]}`,
+		`{"tasks": [{"name": "a", "start": 1e99}]}`,
+		`[1, 2, 3]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseScheduleJSON(p, data)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if len(s.Start) != len(p.Tasks) {
+			t.Fatalf("accepted %d starts for a %d-task problem", len(s.Start), len(p.Tasks))
+		}
+		out, err := FormatScheduleJSON(p, s)
+		if err != nil {
+			t.Fatalf("accepted schedule does not format: %v", err)
+		}
+		q, err := ParseScheduleJSON(p, out)
+		if err != nil {
+			t.Fatalf("formatted schedule does not re-parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(s.Start, q.Start) {
+			t.Fatalf("round-trip changed the starts: %v -> %v", s.Start, q.Start)
 		}
 	})
 }

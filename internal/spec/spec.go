@@ -24,7 +24,6 @@ package spec
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -327,21 +326,4 @@ func Format(p *model.Problem) string {
 // WriteFile writes the problem's spec text to the named file.
 func WriteFile(path string, p *model.Problem) error {
 	return os.WriteFile(path, []byte(Format(p)), 0o644)
-}
-
-// MarshalJSON encodes the problem as indented JSON.
-func MarshalJSON(p *model.Problem) ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}
-
-// UnmarshalJSON decodes and validates a problem from JSON.
-func UnmarshalJSON(data []byte) (*model.Problem, error) {
-	var p model.Problem
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }

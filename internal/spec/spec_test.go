@@ -206,28 +206,6 @@ func TestQuickTextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickJSONRoundTrip mirrors the text round-trip through JSON.
-func TestQuickJSONRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		p := randomProblem(seed)
-		if p.Validate() != nil {
-			return true
-		}
-		data, err := MarshalJSON(p)
-		if err != nil {
-			return false
-		}
-		q, err := UnmarshalJSON(data)
-		if err != nil {
-			return false
-		}
-		return problemsEqual(p, q)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func problemsEqual(a, b *model.Problem) bool {
 	if a.Name != b.Name || a.Pmax != b.Pmax || a.Pmin != b.Pmin || a.BasePower != b.BasePower {
 		return false
@@ -271,14 +249,5 @@ func TestWriteAndParseFile(t *testing.T) {
 	}
 	if _, err := ParseFile(path + ".missing"); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestUnmarshalJSONValidates(t *testing.T) {
-	if _, err := UnmarshalJSON([]byte(`{"Tasks":[{"Name":"a","Resource":"R","Delay":0}]}`)); err == nil {
-		t.Fatal("invalid problem accepted from JSON")
-	}
-	if _, err := UnmarshalJSON([]byte(`{nope`)); err == nil {
-		t.Fatal("syntax error accepted")
 	}
 }

@@ -117,7 +117,7 @@ func (s *Server) resolveBatchItem(it BatchItem) (*model.Problem, sched.Options, 
 // scheduleBatch is POST /schedule/batch: the amortized entry point for
 // bulk scheduling. The document is parsed once, every valid item is
 // resolved to a (problem, options, stage) request, and all of them run
-// in a single ScheduleBatchCtx pass over the service's worker pool —
+// in a single ScheduleBatchCtx pass under the service's batch bound —
 // identical items dedup through the cache and singleflight exactly
 // like concurrent single requests. The response carries one entry per
 // item, in order, each with its own status under the single-endpoint

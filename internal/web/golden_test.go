@@ -2,6 +2,7 @@ package web
 
 import (
 	"flag"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/paperex"
 	"repro/internal/sched"
+	"repro/internal/service"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -72,5 +74,34 @@ func TestGolden(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("%s: response differs from %s:\ngot:\n%s\nwant:\n%s", tc.path, path, got, want)
 		}
+	}
+}
+
+// TestStatsUnchangedByPublish: exporting the service at /debug/vars,
+// as cmd/serve does, leaves the /stats document as it was; compute_ns
+// in particular gains no zero-valued stage buckets.
+func TestStatsUnchangedByPublish(t *testing.T) {
+	svc := service.New(service.Config{})
+	s := NewServerWith(sched.Options{}, svc)
+	s.Add(paperex.Nine())
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	if code, body, _ := get(t, ts.URL+"/schedule?problem=nine-task-example&stage=timing"); code != 200 {
+		t.Fatalf("schedule: status %d: %s", code, body)
+	}
+	stats := func() string {
+		code, body, _ := get(t, ts.URL+"/stats")
+		if code != 200 {
+			t.Fatalf("/stats: status %d: %s", code, body)
+		}
+		return campaignFld.ReplaceAllString(clockFlds.ReplaceAllString(body, `"$1": 0`), `"campaign": {}`)
+	}
+	before := stats()
+	if !svc.Publish(fmt.Sprintf("web_test_stats_%p", svc)) {
+		t.Fatal("publish failed")
+	}
+	if after := stats(); after != before {
+		t.Errorf("/stats changed by Publish:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }

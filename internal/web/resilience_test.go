@@ -44,15 +44,26 @@ func TestWebOverloadedMapsTo429(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
+	// A hog problem's compute parks in the hook, holding the one worker.
+	hog := paperex.Nine()
+	hog.Name = "hog"
+	hogKey := service.Key(hog, sched.Options{}, service.StageTiming)
 	release := make(chan struct{})
 	started := make(chan struct{})
+	restore := service.TestingSetComputeHook(func(ctx context.Context, key string) {
+		if key != hogKey {
+			return
+		}
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+	})
+	t.Cleanup(restore)
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := svc.MemoCtx(context.Background(), "hog", func(context.Context) (any, error) {
-			close(started)
-			<-release
-			return 1, nil
-		})
+		_, err := svc.ScheduleCtx(context.Background(), hog, sched.Options{}, service.StageTiming)
 		blocked <- err
 	}()
 	<-started
@@ -94,7 +105,7 @@ func TestWebPanicMapsTo500AndServerSurvives(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	restore := service.TestingSetComputeHook(func(string) { panic("web-chaos-panic") })
+	restore := service.TestingSetComputeHook(func(context.Context, string) { panic("web-chaos-panic") })
 	resp, err := http.Get(ts.URL + "/schedule?problem=nine-task-example")
 	restore()
 	if err != nil {
@@ -132,7 +143,7 @@ func TestWebClientCancelFreesCompute(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	inHook := make(chan struct{})
-	restore := service.TestingSetComputeHook(func(string) {
+	restore := service.TestingSetComputeHook(func(context.Context, string) {
 		close(inHook)
 		time.Sleep(50 * time.Millisecond) // outlive the client's cancellation
 	})
