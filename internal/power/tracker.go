@@ -61,7 +61,7 @@ type Tracker struct {
 	// refSteps and refTerms are the reference materialization's number
 	// of summed breakpoints and most terms in one breakpoint sum, and
 	// absSum is |base| + 2*sum|power|: the inputs of the float error
-	// bound CertainlyRejects certifies against. refFree caches the
+	// bound the certificates use (overlayErr). refFree caches the
 	// reference's FreeEnergyUsed(refFreePmin).
 	refSteps, refTerms   int
 	absSum               float64

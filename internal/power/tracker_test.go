@@ -368,6 +368,174 @@ func TestCertainlyRejectsSound(t *testing.T) {
 	}
 }
 
+// checkPeakCertificate asks tr for v's peak certificate under pmax and
+// checks a certified answer against Build of s, the tracked schedule: it
+// must be over budget, the certified end must lie in v's interval, and
+// the jump to it must skip no start of v that Build accepts.
+func checkPeakCertificate(tasks []model.Task, s schedule.Schedule, base float64, tr *Tracker, v int, pmax float64) (bool, error) {
+	end, above := tr.CertainlyAbove(v, pmax)
+	if !above {
+		return false, nil
+	}
+	if peak := Build(tasks, s, base).Peak(); !(peak > pmax) {
+		return true, fmt.Errorf("task %d: certified above pmax %v, Build peak %v", v, pmax, peak)
+	}
+	lo := s.Start[v]
+	if hi := lo + tasks[v].Delay; end <= lo || end > hi {
+		return true, fmt.Errorf("task %d: certified end %d outside its interval [%d, %d)", v, end, lo, hi)
+	}
+	defer func() { s.Start[v] = lo }()
+	for at := lo + 1; at < end; at++ {
+		s.Start[v] = at
+		if peak := Build(tasks, s, base).Peak(); !(peak > pmax) {
+			return true, fmt.Errorf("task %d: jump %d -> %d skips start %d, where Build peak %v fits pmax %v",
+				v, lo, end, at, peak, pmax)
+		}
+	}
+	return true, nil
+}
+
+// lastFinisher returns the task whose end is latest (lowest index on
+// ties): shifting it left shrinks the finish.
+func lastFinisher(tasks []model.Task, s schedule.Schedule) int {
+	last := 0
+	for v := range tasks {
+		if s.Start[v]+tasks[v].Delay > s.Start[last]+tasks[last].Delay {
+			last = v
+		}
+	}
+	return last
+}
+
+// TestPeakCertificateSound drives trackers through random and
+// adversarial move sets and checks every certified peak against Build
+// (checkPeakCertificate), with pmax at the moved schedule's own peak and
+// one ulp either side, the near-ties where an unsound bound would show.
+// The move sets include the last task shifted left, so the finish
+// shrinks and the reference's power past the new finish lies outside
+// the profile. The query must never materialize.
+func TestPeakCertificateSound(t *testing.T) {
+	certified, undecided := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		tasks, s, base := adversarialInstance(rng, n)
+		tr := NewTracker(tasks, s, base)
+		ref := tr.Profile()
+		refTau := ref.Duration()
+		mats := tr.Materializations()
+
+		for trial := 0; trial < 8; trial++ {
+			orig := append([]model.Time(nil), s.Start...)
+			var moved []int
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				v := rng.Intn(n)
+				switch rng.Intn(4) {
+				case 0:
+					v = lastFinisher(tasks, s)
+					s.Start[v] = model.Time(rng.Intn(int(s.Start[v]) + 1))
+				case 1:
+					s.Start[v] = s.Start[rng.Intn(n)]
+				default:
+					s.Start[v] = model.Time(rng.Intn(int(refTau) + 1))
+				}
+				tr.Move(v, s.Start[v])
+				moved = append(moved, v)
+			}
+			peak := Build(tasks, s, base).Peak()
+			for _, pmax := range []float64{peak, math.Nextafter(peak, math.Inf(-1)), math.Nextafter(peak, math.Inf(1)), ref.Peak()} {
+				for _, v := range moved {
+					ok, err := checkPeakCertificate(tasks, s, base, tr, v, pmax)
+					if err != nil {
+						t.Fatalf("seed %d trial %d: %v", seed, trial, err)
+					}
+					if ok {
+						certified++
+					} else {
+						undecided++
+					}
+				}
+			}
+			if got := tr.Materializations(); got != mats {
+				t.Fatalf("seed %d trial %d: CertainlyAbove materialized (%d -> %d)", seed, trial, mats, got)
+			}
+			for v := range orig {
+				s.Start[v] = orig[v]
+				tr.Move(v, orig[v])
+			}
+		}
+	}
+	t.Logf("%d certified, %d undecided", certified, undecided)
+	if certified == 0 || undecided == 0 {
+		t.Fatalf("vacuous run: %d certified, %d undecided", certified, undecided)
+	}
+}
+
+// FuzzPeakCertificate draws tasks, a move set and pmax around the moved
+// schedule's peak from fuzz bytes and checks every moved task's peak
+// certificate against Build (checkPeakCertificate).
+func FuzzPeakCertificate(f *testing.F) {
+	f.Add([]byte{5, 1, 2, 0, 3, 1, 1, 4, 2, 2, 0, 3, 3, 6, 9, 0, 2, 1, 0, 3, 2})
+	f.Add([]byte{12, 2, 1, 7, 0, 9, 4, 3, 1, 2, 5, 6, 0, 1, 1, 8, 2, 3, 7, 4, 1, 1, 0, 2, 9, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			return
+		}
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		powers := []float64{0.1, 0.2, 0.3, 0.7, 1.1, 2.9, 1e-3}
+		n := 1 + next()%24
+		base := []float64{0, 0.3, 1e6, 12345.678}[next()%4]
+		tasks := make([]model.Task, n)
+		s := schedule.Schedule{Start: make([]model.Time, n)}
+		for v := range tasks {
+			p := powers[next()%len(powers)]
+			if next()%3 == 0 {
+				p = float64(next()*256+next()) / 65536 * 13.7
+			}
+			tasks[v] = model.Task{Name: fmt.Sprintf("t%d", v), Delay: 1 + next()%5, Power: p}
+			s.Start[v] = model.Time(next() % 32)
+		}
+		tr := NewTracker(tasks, s, base)
+		tr.Profile()
+		mats := tr.Materializations()
+		var moved []int
+		for k := 1 + next()%4; k > 0; k-- {
+			v := next() % n
+			if next()%2 == 0 {
+				v = lastFinisher(tasks, s)
+				s.Start[v] = model.Time(next() % (int(s.Start[v]) + 1))
+			} else {
+				s.Start[v] = model.Time(next() % 40)
+			}
+			tr.Move(v, s.Start[v])
+			moved = append(moved, v)
+		}
+		pmax := Build(tasks, s, base).Peak()
+		for ulps := next()%5 - 2; ulps != 0; {
+			if ulps > 0 {
+				pmax, ulps = math.Nextafter(pmax, math.Inf(1)), ulps-1
+			} else {
+				pmax, ulps = math.Nextafter(pmax, math.Inf(-1)), ulps+1
+			}
+		}
+		for _, v := range moved {
+			if _, err := checkPeakCertificate(tasks, s, base, tr, v, pmax); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tr.Materializations(); got != mats {
+			t.Fatalf("CertainlyAbove materialized (%d -> %d)", mats, got)
+		}
+	})
+}
+
 // TestCertainlyRejectsCertifiesLocalMoves checks the bound is tight
 // enough to be useful: on a long schedule, moving one task away from
 // a below-pmin stretch strictly loses utilization and is certified
@@ -426,6 +594,7 @@ func TestCertainlyRejectsAllocFree(t *testing.T) {
 			tr.Move(v, s.Start[v]+1)
 			tr.Move(v+20, s.Start[v+20]+2)
 			tr.CertainlyRejects(ref.Peak(), pmin, tau, minU)
+			tr.CertainlyAbove(v, ref.Peak()/2)
 			tr.Move(v+20, s.Start[v+20])
 			tr.Move(v, s.Start[v])
 		}

@@ -138,6 +138,15 @@ func checkAnswer(st *state, memo *refProfile, q string, v int, t model.Time, got
 		want = runEndWalk(ref, t, func(p float64) bool { return p > prob.Pmax })
 	case "runendbelow":
 		want = runEndWalk(ref, t, func(p float64) bool { return p < prob.Pmin })
+	case "peakabove":
+		// A certified piece must lie in v's interval and exceed the
+		// budget on the Build profile, where the jump past it lands.
+		lo := sigma.Start[v]
+		if got.(bool) && (t <= lo || t > lo+st.tasks[v].Delay || !(ref.At(t-1) > prob.Pmax)) {
+			return fmt.Errorf("certified peak above %v ending at %d in task %d's interval [%d, %d), Build profile there is %v",
+				prob.Pmax, t, v, lo, lo+st.tasks[v].Delay, ref.At(t-1))
+		}
+		return nil
 	case "rejects":
 		if got.(bool) && !acceptFails(ref, prob.Pmax, prob.Pmin, t, st.curU+utilEps) {
 			return fmt.Errorf("certified rejection of a move the Build profile accepts (tau %d)", t)
@@ -381,6 +390,9 @@ func TestAuditCatches(t *testing.T) {
 			st.cur[0] = -1 // starts before time 0
 			audited(st, "timevalid", 0, 0, true)
 		}},
+		{"forged peak certificate", "certified peak above", func(st *state, sigma schedule.Schedule) {
+			audited(st, "peakabove", 0, sigma.Start[0]+1, true) // the max-power result is within budget
+		}},
 		{"unsound rejection", "certified rejection", func(st *state, sigma schedule.Schedule) {
 			st.curU = -1 // any valid profile with the same finish is an acceptance
 			audited(st, "rejects", 0, sigma.Finish(st.tasks), true)
@@ -416,7 +428,7 @@ func TestAuditReachesEveryQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := []string{"visit", "backtrack", "select", "slack", "gapcands", "timevalid", "delay", "undo", "lock",
-		"profile", "validmax", "firstabove", "runendabove", "runendbelow", "rejects"}
+		"profile", "validmax", "peakabove", "firstabove", "runendabove", "runendbelow", "rejects"}
 	for _, q := range kinds {
 		if checks[q] == 0 {
 			t.Errorf("query %q never audited (checks: %v)", q, checks)

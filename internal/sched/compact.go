@@ -31,29 +31,41 @@ func (st *state) compact(sigma schedule.Schedule) schedule.Schedule {
 	st.syncProfile(sigma)
 	st.g.Rollback(st.timingMark)
 
-	// powerOK reports whether the current sigma respects the budget,
-	// probing the tracker (which follows every trial shift below) in O(1).
-	powerOK := func() bool {
-		return pmax == 0 || audited(st, "validmax", 0, 0, st.tr.ValidMax(pmax))
+	// fits reports whether the budget holds with v at its tracked start
+	// s. A trial the tracker certifies over budget inside v's new
+	// interval is settled without materializing, and next is the end of
+	// the furthest certified piece: every start before it still covers
+	// part of that piece, so none fits and the first fit is unchanged.
+	// Every other trial (each acceptance and each near-tie) takes the
+	// full materialized ValidMax, O(B) in the B breakpoints, and a
+	// rejected one advances by one.
+	fits := func(v int, s model.Time) (ok bool, next model.Time) {
+		if pmax == 0 {
+			return true, s + 1
+		}
+		end, above := st.tr.CertainlyAbove(v, pmax)
+		if audited(st, "peakabove", v, end, above) {
+			return false, end
+		}
+		return audited(st, "validmax", 0, 0, st.tr.ValidMax(pmax)), s + 1
 	}
 	const maxPasses = 20
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, v := range st.byStart(sigma, len(tasks)) {
 			lb := st.compactBound(sigma, v)
-			if lb >= sigma.Start[v] {
-				continue
-			}
-			for s := lb; s < sigma.Start[v]; s++ {
+			for s := lb; s < sigma.Start[v]; {
 				trial := sigma.Start[v]
 				sigma.Start[v] = s
 				st.tr.Move(v, s)
-				if powerOK() {
+				ok, next := fits(v, s)
+				if ok {
 					changed = true
 					break
 				}
 				sigma.Start[v] = trial
 				st.tr.Move(v, trial)
+				s = next
 			}
 		}
 		if !changed {

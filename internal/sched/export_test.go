@@ -39,6 +39,42 @@ func MinPowerMaterializations(p *model.Problem, opts Options) (*Result, int, err
 	return st.result(sigma), n, nil
 }
 
+// CompactWork runs one unrestarted pipeline on p through compaction
+// and returns compaction's work: the trials it settled (each by a
+// certified peak or by ValidMax), the shifts it accepted, and the
+// profile materializations it made its tracker perform. The trials are
+// counted through the audit seam, so it must not run inside Audit.
+func CompactWork(p *model.Problem, opts Options) (trials, accepted, mats int, err error) {
+	c, err := schedule.Compile(p)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	st := newState(context.Background(), c, opts, nil)
+	st.reset(0)
+	sigma, err := st.maxPower()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	before := 0
+	if st.tr != nil {
+		before = st.tr.Materializations()
+	}
+	audit = func(_ *state, q string, _ int, _ model.Time, got any) {
+		switch {
+		case q == "peakabove" && got.(bool):
+			trials++
+		case q == "validmax":
+			trials++
+			if got.(bool) {
+				accepted++
+			}
+		}
+	}
+	defer func() { audit = nil }()
+	st.compact(sigma)
+	return trials, accepted, st.tr.Materializations() - before, nil
+}
+
 // Audit runs fn with the incremental-core audit installed: every answer
 // a stage takes from the tracker, the slack cache or the live
 // longest-path banks, and every time-validity claim of an accepted gap

@@ -82,6 +82,27 @@ func TestMinPowerMaterializationGuard(t *testing.T) {
 	}
 }
 
+// TestCompactMaterializationGuard is the same work guard for
+// compaction: a trial shift the tracker certifies over budget must not
+// materialize the profile, so compaction materializes about once per
+// accepted shift, not once per trial.
+func TestCompactMaterializationGuard(t *testing.T) {
+	const n = 200
+	trials, accepted, mats, err := sched.CompactWork(benchkit.Generate(n, 1), benchkit.Options(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d trials, %d accepted, %d materializations", trials, accepted, mats)
+	const slack = 8
+	if mats > accepted+slack {
+		t.Fatalf("compaction materialized %d profiles; want <= accepted shifts %d + %d (trials: %d)",
+			mats, accepted, slack, trials)
+	}
+	if accepted < 100 || trials-accepted < 50 {
+		t.Fatalf("instance too easy to guard anything: %d trials, %d accepted", trials, accepted)
+	}
+}
+
 // TestAuditDoesNotPerturbTracker: the audit never asks the tracker for a
 // profile, so an audited 500-task solve does exactly the work of an
 // unaudited one — same stats, same min-power materialization count.
