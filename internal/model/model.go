@@ -163,16 +163,6 @@ func (p *Problem) Resources() []string {
 	return rs
 }
 
-// TotalEnergy returns the energy of all tasks, excluding BasePower
-// (which depends on the schedule's finish time).
-func (p *Problem) TotalEnergy() float64 {
-	var e float64
-	for _, t := range p.Tasks {
-		e += t.Energy()
-	}
-	return e
-}
-
 // AddTask appends a task and returns its index.
 func (p *Problem) AddTask(t Task) int {
 	p.Tasks = append(p.Tasks, t)

@@ -144,13 +144,6 @@ func TestLookupsAndResources(t *testing.T) {
 	}
 }
 
-func TestTotalEnergy(t *testing.T) {
-	p := validProblem() // 2*3 + 4*1 = 10
-	if got := p.TotalEnergy(); got != 10 {
-		t.Fatalf("TotalEnergy = %g, want 10", got)
-	}
-}
-
 func TestConstraintString(t *testing.T) {
 	c := Constraint{From: "a", To: "b", Min: 2, Max: 9, HasMax: true}
 	if got := c.String(); got != "a -> b [2,9]" {

@@ -9,7 +9,6 @@ package power
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/model"
@@ -206,22 +205,6 @@ func (p Profile) Utilization(pmin float64) float64 {
 		return 1
 	}
 	return p.FreeEnergyUsed(pmin) / (pmin * float64(tau))
-}
-
-// WriteCSV emits the profile as "t,watts" rows, one per second, for
-// external plotting of the paper's power views.
-func (p Profile) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "t,watts"); err != nil {
-		return err
-	}
-	for _, s := range p.Segs {
-		for t := s.T0; t < s.T1; t++ {
-			if _, err := fmt.Fprintf(w, "%d,%g\n", t, s.P); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // String renders the profile compactly for logs and tests.

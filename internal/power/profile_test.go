@@ -3,7 +3,6 @@ package power
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -287,24 +286,5 @@ func TestQuickSpikeGapDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	p := buildSimple()
-	var buf strings.Builder
-	if err := p.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "t,watts\n") {
-		t.Fatalf("missing header: %q", out)
-	}
-	lines := strings.Count(out, "\n")
-	if lines != 1+int(p.Duration()) {
-		t.Fatalf("lines = %d, want %d", lines, 1+p.Duration())
-	}
-	if !strings.Contains(out, "2,9\n") {
-		t.Errorf("missing row for t=2: %q", out)
 	}
 }

@@ -94,14 +94,5 @@ type Supply struct {
 	Battery *Battery
 }
 
-// PmaxAt returns the hard power budget available at mission time t.
-func (s Supply) PmaxAt(t model.Time) float64 {
-	pm := s.Solar.At(t)
-	if s.Battery != nil {
-		pm += s.Battery.MaxPower
-	}
-	return pm
-}
-
 // PminAt returns the free power level at mission time t.
 func (s Supply) PminAt(t model.Time) float64 { return s.Solar.At(t) }

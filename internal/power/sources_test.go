@@ -74,17 +74,10 @@ func TestSupplyLevels(t *testing.T) {
 	sol := NewSolar(14.9)
 	sol.AddPhase(600, 9)
 	sup := Supply{Solar: sol, Battery: &Battery{MaxPower: 10}}
-	if got := sup.PmaxAt(0); got != 24.9 {
-		t.Errorf("PmaxAt(0) = %g, want 24.9", got)
-	}
 	if got := sup.PminAt(0); got != 14.9 {
 		t.Errorf("PminAt(0) = %g, want 14.9", got)
 	}
-	if got := sup.PmaxAt(700); got != 19 {
-		t.Errorf("PmaxAt(700) = %g, want 19", got)
-	}
-	noBat := Supply{Solar: sol}
-	if got := noBat.PmaxAt(0); got != 14.9 {
-		t.Errorf("PmaxAt without battery = %g, want 14.9", got)
+	if got := sup.PminAt(700); got != 9 {
+		t.Errorf("PminAt(700) = %g, want 9", got)
 	}
 }

@@ -43,9 +43,8 @@ type Tracker struct {
 	// position in moved or -1: the overlay. A reference contribution of
 	// a moved task is stale. Once every moved task is back at its
 	// reference start the overlay is empty and the reference — and
-	// hence a materialization, its peak/floor and its segment index — is
-	// current again: an undo leaves the tracker clean without
-	// re-materializing.
+	// hence a materialization and its peak/floor — is current again: an
+	// undo leaves the tracker clean without re-materializing.
 	bk, spare buckets
 	ref       []model.Time
 	moved     []int
@@ -73,13 +72,15 @@ type Tracker struct {
 	materializations int
 	// maxP and minP are the materialized profile's peak and floor,
 	// maintained for free during the segment sweep so per-probe validity
-	// checks are O(1); idx is the hierarchical spike/gap index over the
-	// materialized segments, rebuilt lazily on first query per
-	// materialization (see index.go).
+	// checks are O(1); the spike and gap queries walk the materialized
+	// segments (see query.go).
 	maxP, minP float64
-	idx        segIndex
-	idxOK      bool
 }
+
+var (
+	negInf = math.Inf(-1)
+	posInf = math.Inf(1)
+)
 
 const (
 	kindStart = 0 // +Power at the task's start time
@@ -370,7 +371,6 @@ func (tr *Tracker) finish() model.Time {
 func (tr *Tracker) materialize(segs []Segment) Profile {
 	tr.maxP = negInf
 	tr.minP = posInf
-	tr.idxOK = false
 	tr.refFreeOK = false
 	tr.refSteps, tr.refTerms = 0, 0
 	tau := tr.finish()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -83,6 +84,15 @@ func (rt *Router) campaign(w http.ResponseWriter, r *http.Request) {
 	})
 
 	for _, err := range errs {
+		var rf *refusal
+		if errors.As(err, &rf) {
+			w.Header().Set("Content-Type", rf.contentType)
+			w.WriteHeader(rf.status)
+			w.Write(rf.body)
+			return
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
 			writeError(w, http.StatusBadGateway, "campaign shard failed: "+err.Error())
 			return
@@ -99,6 +109,19 @@ func (rt *Router) campaign(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
+}
+
+// refusal is a backend's 4xx answer to a fan-out job. The request
+// itself is at fault, so no other backend would answer differently:
+// fanOut does not fail the job over, and the caller relays the answer.
+type refusal struct {
+	status      int
+	contentType string
+	body        []byte
+}
+
+func (rf *refusal) Error() string {
+	return fmt.Sprintf("status %d: %s", rf.status, bytes.TrimSpace(rf.body))
 }
 
 // splitCampaign decodes a campaign document and decides how to route
@@ -156,8 +179,14 @@ func (rt *Router) sendCampaignChunk(ctx context.Context, b int, req web.Campaign
 	defer resp.Body.Close()
 	be := rt.backends[b]
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("backend %s: status %d: %s", be.name, resp.StatusCode, bytes.TrimSpace(msg))
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxBatchBytes))
+		// Every chunk carries the same spec, runs, seed and faults, so
+		// a refused chunk is the whole campaign's canonical answer.
+		// Shedding (429) is load, not a verdict: that chunk fails over.
+		if resp.StatusCode/100 == 4 && resp.StatusCode != http.StatusTooManyRequests {
+			return nil, &refusal{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: msg}
+		}
+		return nil, fmt.Errorf("backend %s: status %d: %s", be.name, resp.StatusCode, bytes.TrimSpace(msg[:min(len(msg), 512)]))
 	}
 	var part web.CampaignPartial
 	if err := json.NewDecoder(resp.Body).Decode(&part); err != nil {

@@ -41,6 +41,10 @@ func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Spec: hetero, Runs: 10, Seed: 3, Lo: 0, Hi: 5, Partial: true})},
 		// Error contract: canonical backend bytes through the router.
 		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Spec: hetero, Runs: 0, Seed: 1})},
+		// Shardable documents every backend refuses alike: the router
+		// relays the first refused chunk's 4xx instead of failing chunks over.
+		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Spec: hetero, Runs: 1<<20 + 1, Seed: 1})},
+		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Spec: hetero, Runs: 10, Seed: 1, Faults: "bogus=1"})},
 		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Problem: "no-such-problem", Runs: 4, Seed: 1})},
 		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Problem: "nine-hetero", Spec: hetero, Runs: 4, Seed: 1})},
 		{http.MethodPost, "/simulate/campaign", campaignDoc(t, web.CampaignRequest{Spec: hetero, Runs: 10, Seed: 1, Lo: 2, Hi: 6})},
@@ -122,6 +126,15 @@ func TestCampaignDifferentialSingleVsSharded(t *testing.T) {
 			}
 			if p != nil && p.poisoned.Load() == 0 {
 				t.Error("the poisoned shard served no partial; the case tests nothing")
+			}
+			// Over healthy shards nothing fails over: not even the
+			// chunks every backend refuses.
+			if tc.dead == 0 && !tc.poison {
+				var st StatsResponse
+				_, body, _ := strings.Cut(play(t, rts.URL, []wireReq{{http.MethodGet, "/stats", ""}})[0], "\n")
+				if err := json.Unmarshal([]byte(body), &st); err != nil || st.Router.Retries != 0 {
+					t.Errorf("router retries = %d (%v), want 0", st.Router.Retries, err)
+				}
 			}
 		})
 	}

@@ -63,6 +63,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html"
 	"io"
@@ -462,7 +463,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 // jobs of a group whose try failed move to their next candidate, for
 // up to Retries rounds with a jittered backoff between rounds. Pending
 // jobs stay in ascending order, so a group lists its jobs in request
-// order. Returns each job's last error (nil once the job succeeded).
+// order. A job whose try answers a *refusal is final and not failed
+// over. Returns each job's last error (nil once the job succeeded).
 func (rt *Router) fanOut(ctx context.Context, cands [][]int, try func(b int, jobs []int) error) []error {
 	errs := make([]error, len(cands))
 	pending := make([]int, len(cands))
@@ -495,7 +497,8 @@ func (rt *Router) fanOut(ctx context.Context, cands [][]int, try func(b int, job
 		wg.Wait()
 		next := pending[:0]
 		for _, j := range pending {
-			if errs[j] != nil && round < rt.cfg.Retries && round+1 < len(cands[j]) && ctx.Err() == nil {
+			var rf *refusal
+			if errs[j] != nil && !errors.As(errs[j], &rf) && round < rt.cfg.Retries && round+1 < len(cands[j]) && ctx.Err() == nil {
 				next = append(next, j)
 			}
 		}

@@ -56,8 +56,8 @@ func (st *state) maxPower() (schedule.Schedule, error) {
 }
 
 // firstSpike returns the start of the earliest over-budget interval
-// (Spikes(pmax)[0].T0), answered from the tracker's segment index in
-// O(log m) without materializing the interval list.
+// (Spikes(pmax)[0].T0), answered by the tracker's walk of the
+// materialized segments without building the interval list.
 func (st *state) firstSpike(pmax float64) (model.Time, bool) {
 	t, ok := st.tr.FirstAbove(pmax)
 	return t, audited(st, "firstabove", 0, t, ok)

@@ -154,7 +154,7 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 	tau := st.prof().Duration()
 
 	// End of the gap beginning at t, read only by the finish-at-gap-end
-	// slot and answered from the tracker's segment index in O(log m).
+	// slot and answered by walking the tracker's segments from t.
 	gapEnd := t + 1
 	if slot == SlotFinishAtGapEnd {
 		gapEnd = audited(st, "runendbelow", 0, t, st.tr.RunEndBelow(t, prob.Pmin))

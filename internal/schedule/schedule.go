@@ -143,12 +143,6 @@ type Schedule struct {
 	Start []model.Time
 }
 
-// FromDist extracts a schedule from longest-path distances over the
-// compiled graph (dropping the anchor entry).
-func FromDist(dist []int, numTasks int) Schedule {
-	return Schedule{Start: append([]model.Time(nil), dist[:numTasks]...)}
-}
-
 // Clone returns an independent copy.
 func (s Schedule) Clone() Schedule {
 	return Schedule{Start: append([]model.Time(nil), s.Start...)}
@@ -166,18 +160,6 @@ func (s Schedule) Finish(tasks []model.Task) model.Time {
 		}
 	}
 	return tau
-}
-
-// ActiveAt returns the indices of tasks executing at time t
-// (start <= t < start+delay), in index order.
-func (s Schedule) ActiveAt(tasks []model.Task, t model.Time) []int {
-	var act []int
-	for i, task := range tasks {
-		if s.Start[i] <= t && t < s.Start[i]+task.Delay {
-			act = append(act, i)
-		}
-	}
-	return act
 }
 
 // Slack computes Delta_sigma(v): the maximum amount task v's start can

@@ -63,27 +63,11 @@ func TestCompileRejectsInvalidProblem(t *testing.T) {
 	}
 }
 
-func TestFromDistDropsAnchor(t *testing.T) {
-	s := FromDist([]int{3, 7, 0}, 2)
-	if len(s.Start) != 2 || s.Start[0] != 3 || s.Start[1] != 7 {
-		t.Fatalf("FromDist = %v", s.Start)
-	}
-}
-
-func TestFinishAndActiveAt(t *testing.T) {
+func TestFinish(t *testing.T) {
 	p := twoTaskProblem()
 	s := Schedule{Start: []model.Time{0, 5}}
 	if got := s.Finish(p.Tasks); got != 7 {
 		t.Fatalf("Finish = %d, want 7", got)
-	}
-	if act := s.ActiveAt(p.Tasks, 2); len(act) != 1 || act[0] != 0 {
-		t.Fatalf("ActiveAt(2) = %v, want [0]", act)
-	}
-	if act := s.ActiveAt(p.Tasks, 3); len(act) != 0 {
-		t.Fatalf("ActiveAt(3) = %v, want [] (a just finished)", act)
-	}
-	if act := s.ActiveAt(p.Tasks, 5); len(act) != 1 || act[0] != 1 {
-		t.Fatalf("ActiveAt(5) = %v, want [1]", act)
 	}
 }
 
