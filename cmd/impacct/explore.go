@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -21,13 +20,13 @@ import (
 // problem: the default pipeline against single scan orders, single
 // slot heuristics, disabled locks, multi-restart search, a one-scan
 // min-power budget, and compaction.
-func ablateCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
+func ablateCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 	var (
 		seed     = fs.Int64("seed", 0, "random seed for the heuristics")
 		restarts = fs.Int("restarts", 8, "restart count for the multi-restart row")
 	)
-	return "<spec-file>", func(spec string, w io.Writer) error {
-		prob, err := impacct.ParseSpecFile(spec)
+	return "<spec-file>", 1, func(args []string, s stdio) error {
+		prob, err := impacct.ParseSpecFile(args[0])
 		if err != nil {
 			return err
 		}
@@ -43,8 +42,8 @@ func ablateCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 			"single-scan-budget": {Seed: *seed, MaxScans: 1},
 			"compaction":         {Seed: *seed, Compact: true},
 		}
-		fmt.Fprintf(w, "heuristic ablation on %s:\n", prob.Name)
-		fmt.Fprint(w, analysis.FormatHeuristicRows(analysis.CompareHeuristics(prob, configs)))
+		fmt.Fprintf(s.out, "heuristic ablation on %s:\n", prob.Name)
+		fmt.Fprint(s.out, analysis.FormatHeuristicRows(analysis.CompareHeuristics(prob, configs)))
 		return nil
 	}
 }
@@ -55,7 +54,7 @@ func ablateCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 // versus energy-cost trade-off, the exploration loop the IMPACCT
 // framework was built to enable. The points evaluate concurrently on
 // one scheduling service (-stats prints its counters afterwards).
-func sweepCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
+func sweepCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 	var (
 		budgets      = fs.String("pmax", "", "comma-separated max-power budgets to sweep (default: 10 points around the spec's Pmax)")
 		seed         = fs.Int64("seed", 0, "random seed for the heuristics")
@@ -65,8 +64,8 @@ func sweepCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		schedWorkers = fs.Int("sched-workers", 0, "concurrent restart workers inside each pipeline run; any value yields identical results (0 = GOMAXPROCS)")
 		showStats    = fs.Bool("stats", false, "print scheduling-service metrics after the sweep")
 	)
-	return "<spec-file>", func(spec string, w io.Writer) error {
-		prob, err := impacct.ParseSpecFile(spec)
+	return "<spec-file>", 1, func(args []string, s stdio) error {
+		prob, err := impacct.ParseSpecFile(args[0])
 		if err != nil {
 			return err
 		}
@@ -92,18 +91,18 @@ func sweepCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		svc := service.New(service.Config{Workers: *workers})
 		opts := sched.Options{Seed: *seed, Restarts: *restarts, Workers: *schedWorkers}
 		pts := analysis.Sweep(ctx, svc, prob, list, nil, opts)
-		fmt.Fprintf(w, "design points for %s:\n", prob.Name)
-		fmt.Fprint(w, analysis.FormatPoints(pts))
+		fmt.Fprintf(s.out, "design points for %s:\n", prob.Name)
+		fmt.Fprint(s.out, analysis.FormatPoints(pts))
 		if *pareto {
-			fmt.Fprintln(w, "\npareto front (finish time vs energy cost):")
-			fmt.Fprint(w, analysis.FormatPoints(analysis.Pareto(pts)))
+			fmt.Fprintln(s.out, "\npareto front (finish time vs energy cost):")
+			fmt.Fprint(s.out, analysis.FormatPoints(analysis.Pareto(pts)))
 		}
 		if *showStats {
 			data, err := json.MarshalIndent(svc.Stats(), "", "  ")
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "\nservice stats:\n%s\n", data)
+			fmt.Fprintf(s.out, "\nservice stats:\n%s\n", data)
 		}
 		return nil
 	}

@@ -1,20 +1,31 @@
 // Command impacct is the offline IMPACCT tool: it schedules a
 // power-aware problem specification and renders the result, and its
-// subcommands regenerate the paper's evaluation and explore a
-// problem's design space.
+// subcommands regenerate the paper's evaluation, explore a problem's
+// design space, generate and check problems and schedules, keep the
+// ground-computed schedule library, fly fault-injection campaigns and
+// edit a schedule interactively.
 //
 // Usage:
 //
-//	impacct [flags] <spec-file>         schedule one spec ("-" reads stdin)
-//	impacct rover [flags]               Table 3 (with -gantt, Figs. 9-11)
-//	impacct mission [flags]             Table 4, the 48-step mission
-//	impacct report [flags]              every table and figure as markdown
-//	impacct ablate [flags] <spec-file>  compare heuristic configurations
-//	impacct sweep [flags] <spec-file>   max-power sweep and Pareto front
+//	impacct [flags] <spec-file>                 schedule one spec ("-" reads stdin)
+//	impacct rover [flags]                       Table 3 (with -gantt, Figs. 9-11)
+//	impacct mission [flags]                     Table 4, the 48-step mission
+//	impacct report [flags]                      every table and figure as markdown
+//	impacct ablate [flags] <spec-file>          compare heuristic configurations
+//	impacct sweep [flags] <spec-file>           max-power sweep and Pareto front
+//	impacct gen [flags]                         a random feasible problem
+//	impacct validate [flags] <spec> <json>      verify a schedule independently
+//	impacct library build -o <file> [spec...]   schedule the rover cases and specs
+//	impacct library show <file>                 a library's validity-range table
+//	impacct library select [flags] <file>       pick a schedule for -solar/-battery
+//	impacct simulate [flags]                    Monte-Carlo fault-injection campaign
+//	impacct edit [flags] <spec-file>            interactive Gantt-chart session
 //
 // The spec file uses the format of internal/spec. A first argument
 // that names a subcommand runs it; to schedule a spec file literally
-// named like one, pass it as ./rover. Usage errors exit 2, failures 1.
+// named like one, pass it as ./rover. Flags come before operands.
+// Usage errors exit 2, failures 1; validate exits 1 when it finds
+// violations and 2 when an input is unreadable.
 //
 // Example:
 //
@@ -28,64 +39,134 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"repro"
 	"repro/internal/dot"
 )
 
-// A command declares its flags on fs and returns the operand its usage
-// line names ("" for none) and the body to run once they are parsed;
-// body gets the operand's value (a spec-file path) or "".
-type command func(fs *flag.FlagSet) (operand string, body func(spec string, stdout io.Writer) error)
+// A command declares its flags on fs and returns the usage of its
+// operands ("" for none), how many it takes (-1 for any number), and
+// the body to run on them once they are parsed.
+type command func(fs *flag.FlagSet) (operands string, nargs int, body func(args []string, s stdio) error)
 
-var subcommands = map[string]command{
-	"rover":   roverCmd,
-	"mission": missionCmd,
-	"report":  reportCmd,
-	"ablate":  ablateCmd,
-	"sweep":   sweepCmd,
+// stdio is the streams a command reads and writes.
+type stdio struct {
+	in       io.Reader
+	out, err io.Writer
 }
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+// exitError makes run exit with code after printing err, if any.
+type exitError struct {
+	code int
+	err  error
+}
 
-// run dispatches to the subcommand args[0] names, else schedules a
+func (e exitError) Error() string { return fmt.Sprintf("exit status %d: %v", e.code, e.err) }
+
+var subcommands = map[string]command{
+	"rover":          roverCmd,
+	"mission":        missionCmd,
+	"report":         reportCmd,
+	"ablate":         ablateCmd,
+	"sweep":          sweepCmd,
+	"gen":            genCmd,
+	"validate":       validateCmd,
+	"library build":  libraryBuildCmd,
+	"library show":   libraryShowCmd,
+	"library select": librarySelectCmd,
+	"simulate":       simulateCmd,
+	"edit":           editCmd,
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run dispatches to the subcommand args begin with, else schedules a
 // spec file, and returns the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
-	name, cmd := "impacct", command(scheduleCmd)
-	if len(args) > 0 {
-		if sub, ok := subcommands[args[0]]; ok {
-			name, cmd, args = "impacct "+args[0], sub, args[1:]
-		}
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	name, cmd, args := lookup(args)
+	if cmd == nil {
+		usage(stderr, "impacct", "<spec-file>")
+		return 2
 	}
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	operand, body := cmd(fs)
+	operands, nargs, body := cmd(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	usage, want := name+" [flags]", 0
-	if operand != "" {
-		usage, want = usage+" "+operand, 1
-	}
-	if fs.NArg() != want {
-		fmt.Fprintln(stderr, "usage:", usage)
-		if name == "impacct" {
-			fmt.Fprintln(stderr, "       impacct {ablate|mission|report|rover|sweep} [flags] (-h lists each one's flags)")
-		}
+	if nargs >= 0 && fs.NArg() != nargs {
+		usage(stderr, name, operands)
 		fs.PrintDefaults()
 		return 2
 	}
-	if err := body(fs.Arg(0), stdout); err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", name, err)
-		return 1
+	err := body(fs.Args(), stdio{stdin, stdout, stderr})
+	if err == nil {
+		return 0
 	}
-	return 0
+	code := 1
+	var exit exitError
+	if errors.As(err, &exit) {
+		code, err = exit.code, exit.err
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", name, err)
+	}
+	return code
 }
 
-func scheduleCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
+// lookup splits args into the command they name, that command and its
+// arguments: a two-word subcommand ("library show") before a one-word
+// one, else the default schedule command. A word that only begins
+// two-word names ("library" alone) names no command.
+func lookup(args []string) (string, command, []string) {
+	for n := min(2, len(args)); n > 0; n-- {
+		if cmd, ok := subcommands[strings.Join(args[:n], " ")]; ok {
+			return "impacct " + strings.Join(args[:n], " "), cmd, args[n:]
+		}
+	}
+	for name := range subcommands {
+		if len(args) > 0 && strings.HasPrefix(name, args[0]+" ") {
+			return "", nil, nil
+		}
+	}
+	return "impacct", scheduleCmd, args
+}
+
+// usage prints name's usage line; the default command's also lists
+// every subcommand's.
+func usage(w io.Writer, name, operands string) {
+	fmt.Fprintln(w, "usage:", strings.TrimSpace(name+" [flags] "+operands))
+	if name != "impacct" {
+		return
+	}
+	var names []string
+	for n := range subcommands {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		operands, _, _ := subcommands[n](flag.NewFlagSet(n, flag.ContinueOnError))
+		fmt.Fprintln(w, "      ", strings.TrimSpace("impacct "+n+" [flags] "+operands))
+	}
+	fmt.Fprintln(w, "       (-h after a command lists its flags)")
+}
+
+// writeOutput writes body to the file path names, or to w when path is
+// "". Every -o flag writes through it.
+func writeOutput(w io.Writer, path, body string) error {
+	if path == "" {
+		_, err := io.WriteString(w, body)
+		return err
+	}
+	return os.WriteFile(path, []byte(body), 0o644)
+}
+
+func scheduleCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 	var (
 		stage    = fs.String("stage", "minpower", "pipeline stage: timing, maxpower, or minpower")
 		format   = fs.String("format", "ascii", "output: ascii, svg, json, spec, dot, or metrics")
@@ -96,15 +177,15 @@ func scheduleCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		out      = fs.String("o", "", "write output to this file instead of stdout")
 		check    = fs.Bool("verify", false, "independently verify the schedule before emitting it")
 	)
-	return "<spec-file>", func(spec string, stdout io.Writer) error {
+	return "<spec-file>", 1, func(args []string, s stdio) error {
 		var (
 			prob *impacct.Problem
 			err  error
 		)
-		if spec == "-" {
-			prob, err = impacct.ParseSpec(os.Stdin)
+		if args[0] == "-" {
+			prob, err = impacct.ParseSpec(s.in)
 		} else {
-			prob, err = impacct.ParseSpecFile(spec)
+			prob, err = impacct.ParseSpecFile(args[0])
 		}
 		if err != nil {
 			return err
@@ -127,8 +208,9 @@ func scheduleCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		}
 		// Verify and render against the resolved problem so heterogeneous
 		// runs show the chosen machine/level delays and powers (and -format
-		// spec prints the problem cmd/validate checks the plan against); for
-		// degenerate problems this is the parsed problem itself.
+		// spec prints the problem `impacct validate` checks the plan
+		// against); for degenerate problems this is the parsed problem
+		// itself.
 		eff := res.EffectiveProblem()
 		if *check {
 			if rep := impacct.Verify(eff, res.Schedule); !rep.OK() {
@@ -154,12 +236,7 @@ func scheduleCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		default:
 			return fmt.Errorf("unknown format %q", *format)
 		}
-
-		if *out == "" {
-			_, err = io.WriteString(stdout, body)
-			return err
-		}
-		return os.WriteFile(*out, []byte(body), 0o644)
+		return writeOutput(s.out, *out, body)
 	}
 }
 

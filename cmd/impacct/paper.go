@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 
 	"repro/internal/gantt"
 	"repro/internal/mission"
@@ -108,13 +107,13 @@ func figures(t table3, opts sched.Options) ([][2]string, error) {
 		fmt.Sprintf("tau=%d s, total cost=%.1f J", un.Finish(), un.EnergyCost())}), nil
 }
 
-func roverCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
+func roverCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 	var (
 		showGantt = fs.Bool("gantt", false, "render the power-aware schedule of each case")
 		preheat   = fs.Bool("preheat", true, "include the best-case pre-heat iterations (Table 3's 1st/2nd rows)")
 		seed      = fs.Int64("seed", 0, "random seed for the heuristics")
 	)
-	return "", func(_ string, w io.Writer) error {
+	return "", 0, func(_ []string, s stdio) error {
 		t, err := computeTable3(sched.Options{Seed: *seed})
 		if err != nil {
 			return err
@@ -131,27 +130,27 @@ func roverCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 			}
 			costW = max(costW, len(costs[i]))
 		}
-		fmt.Fprintln(w, "Table 3: performance and energy cost of the schedules")
-		fmt.Fprintf(w, "%-8s | %25s | %*s\n", "", "JPL", costW+15, "Power-aware")
-		fmt.Fprintf(w, "%-8s | %10s %7s %6s | %*s %7s %6s\n",
+		fmt.Fprintln(s.out, "Table 3: performance and energy cost of the schedules")
+		fmt.Fprintf(s.out, "%-8s | %25s | %*s\n", "", "JPL", costW+15, "Power-aware")
+		fmt.Fprintf(s.out, "%-8s | %10s %7s %6s | %*s %7s %6s\n",
 			"Pmin (W)", "cost (J)", "util", "tau(s)", costW, "cost (J)", "util", "tau(s)")
 		for i, cr := range t.cases {
-			fmt.Fprintf(w, "%-8.4g | %10.1f %6.0f%% %6d | %*s %6.0f%% %6d\n",
+			fmt.Fprintf(s.out, "%-8.4g | %10.1f %6.0f%% %6d | %*s %6.0f%% %6d\n",
 				rover.Table2(cr.c).Solar,
 				cr.jpl.EnergyCost, 100*cr.jpl.Utilization, cr.jpl.Finish,
 				costW, costs[i], 100*ms[i].Utilization, ms[i].Finish)
 		}
 		if *showGantt {
 			for _, cr := range t.cases {
-				fmt.Fprintln(w)
-				fmt.Fprint(w, gantt.New(cr.prob, cr.run.Schedule).ASCII(1))
+				fmt.Fprintln(s.out)
+				fmt.Fprint(s.out, gantt.New(cr.prob, cr.run.Schedule).ASCII(1))
 			}
 		}
 		return nil
 	}
 }
 
-func missionCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
+func missionCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 	var (
 		steps      = fs.Int("steps", 48, "travel distance in 7 cm steps")
 		seed       = fs.Int64("seed", 0, "random seed for the heuristics")
@@ -159,7 +158,7 @@ func missionCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		capacity   = fs.Float64("battery", 0, "battery capacity in joules (0 = untracked)")
 		scenario   = fs.String("scenario", "", "load the mission from a scenario file instead of the built-in Table 4 staircase")
 	)
-	return "", func(_ string, w io.Writer) error {
+	return "", 0, func(_ []string, s stdio) error {
 		phases, n := mission.PaperScenario(), *steps
 		var bat *power.Battery
 		if *capacity != 0 {
@@ -179,8 +178,8 @@ func missionCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "Table 4: mission scenario, %d steps\n", n)
-		fmt.Fprint(w, mission.FormatTable(jpl, pa))
+		fmt.Fprintf(s.out, "Table 4: mission scenario, %d steps\n", n)
+		fmt.Fprint(s.out, mission.FormatTable(jpl, pa))
 		return nil
 	}
 }
@@ -188,9 +187,9 @@ func missionCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 // reportCmd emits every reproduced experiment as a markdown report of
 // measured values, the generator behind EXPERIMENTS.md's measured
 // columns.
-func reportCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
+func reportCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 	seed := fs.Int64("seed", 0, "random seed for the heuristics")
-	return "", func(_ string, w io.Writer) error {
+	return "", 0, func(_ []string, s stdio) error {
 		opts := sched.Options{Seed: *seed}
 		t, err := computeTable3(opts)
 		if err != nil {
@@ -205,23 +204,23 @@ func reportCmd(fs *flag.FlagSet) (string, func(string, io.Writer) error) {
 			return err
 		}
 
-		fmt.Fprint(w, "# Measured results\n\n## Table 3 — one iteration per case\n\n")
-		fmt.Fprintln(w, "| case | policy | cost (J) | utilization | tau (s) |")
-		fmt.Fprintln(w, "|---|---|---|---|---|")
+		fmt.Fprint(s.out, "# Measured results\n\n## Table 3 — one iteration per case\n\n")
+		fmt.Fprintln(s.out, "| case | policy | cost (J) | utilization | tau (s) |")
+		fmt.Fprintln(s.out, "|---|---|---|---|---|")
 		for _, cr := range t.cases {
-			fmt.Fprintf(w, "| %s | JPL | %.1f | %.1f%% | %d |\n", cr.c, cr.jpl.EnergyCost, 100*cr.jpl.Utilization, cr.jpl.Finish)
-			fmt.Fprintf(w, "| %s | power-aware | %.1f | %.1f%% | %d |\n", cr.c, cr.cold.EnergyCost, 100*cr.cold.Utilization, cr.cold.Finish)
+			fmt.Fprintf(s.out, "| %s | JPL | %.1f | %.1f%% | %d |\n", cr.c, cr.jpl.EnergyCost, 100*cr.jpl.Utilization, cr.jpl.Finish)
+			fmt.Fprintf(s.out, "| %s | power-aware | %.1f | %.1f%% | %d |\n", cr.c, cr.cold.EnergyCost, 100*cr.cold.Utilization, cr.cold.Finish)
 		}
-		fmt.Fprintf(w, "| best | power-aware 1st/2nd | %.1f / %.1f | — | %d / %d |\n\n",
+		fmt.Fprintf(s.out, "| best | power-aware 1st/2nd | %.1f / %.1f | — | %d / %d |\n\n",
 			t.first.EnergyCost(), t.warm.EnergyCost(), t.first.Finish(), t.warm.Finish())
 
-		fmt.Fprint(w, "## Table 4 — 48-step mission\n\n```\n")
-		fmt.Fprint(w, mission.FormatTable(jpl, pa))
-		fmt.Fprint(w, "```\n\n## Figures\n\n| figure | measured |\n|---|---|\n")
+		fmt.Fprint(s.out, "## Table 4 — 48-step mission\n\n```\n")
+		fmt.Fprint(s.out, mission.FormatTable(jpl, pa))
+		fmt.Fprint(s.out, "```\n\n## Figures\n\n| figure | measured |\n|---|---|\n")
 		for _, f := range figs {
-			fmt.Fprintf(w, "| %s | %s |\n", f[0], f[1])
+			fmt.Fprintf(s.out, "| %s | %s |\n", f[0], f[1])
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(s.out)
 		return nil
 	}
 }

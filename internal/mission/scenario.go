@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -208,23 +209,27 @@ func (sc *Scenario) validate() error {
 		if ph.Duration == 0 && i != len(sc.Phases)-1 {
 			return fmt.Errorf("scenario: only the final phase may have duration 0 (phase %d)", i+1)
 		}
-		if ph.Duration < 0 || ph.Cond.Solar < 0 {
-			return fmt.Errorf("scenario: phase %d has negative values", i+1)
+		if ph.Duration < 0 || !nonNegative(ph.Cond.Solar) {
+			return fmt.Errorf("scenario: phase %d has negative or non-finite values", i+1)
 		}
 	}
-	if sc.Battery != nil && (sc.Battery.Capacity < 0 || sc.Battery.MaxPower < 0) {
-		return fmt.Errorf("scenario: battery has negative values")
+	if sc.Battery != nil && !(nonNegative(sc.Battery.Capacity) && nonNegative(sc.Battery.MaxPower)) {
+		return fmt.Errorf("scenario: battery has negative or non-finite values")
 	}
 	for i, fp := range sc.Faults {
 		if fp.Start < 0 || fp.Duration <= 0 {
 			return fmt.Errorf("scenario: fault %d needs start >= 0 and duration > 0", i+1)
 		}
-		if fp.Kind == FaultBrownout && (fp.Factor < 0 || fp.Factor >= 1) {
+		if fp.Kind == FaultBrownout && !(fp.Factor >= 0 && fp.Factor < 1) {
 			return fmt.Errorf("scenario: fault %d brownout factor %g outside [0,1)", i+1, fp.Factor)
 		}
 	}
 	return nil
 }
+
+// nonNegative reports whether x is a finite number >= 0; NaN fails
+// x >= 0, where it would pass x < 0.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Config builds a simulator configuration for the scenario and policy.
 func (sc *Scenario) Config(policy Policy) Config {

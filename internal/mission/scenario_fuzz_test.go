@@ -1,6 +1,7 @@
 package mission
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,6 +26,8 @@ func FuzzScenario(f *testing.F) {
 		"fault dropout 1 1\n",
 		"steps 0x10\nphase 0 best 9\n",
 		"\n\n#\n  # indented comment\nsteps 3\nphase 0 best 1\n",
+		"steps 4\nbattery NaN 10\nphase 600 best NaN\nfault brownout 200 60 NaN\n",
+		"steps 4\nbattery 5000 +Inf\nphase 0 best 9\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -57,7 +60,17 @@ func FuzzScenario(f *testing.F) {
 		if sc.TargetSteps <= 0 || len(sc.Phases) == 0 {
 			t.Fatalf("accepted scenario violates invariants: %+v", sc)
 		}
+		// The fixed-point check below cannot see NaN or ±Inf (each
+		// formats and re-parses as itself), so finiteness is checked
+		// on its own.
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		if b := sc.Battery; b != nil && !(finite(b.Capacity) && finite(b.MaxPower)) {
+			t.Fatalf("accepted non-finite battery: %+v", b)
+		}
 		for i, ph := range sc.Phases {
+			if !finite(ph.Cond.Solar) {
+				t.Fatalf("phase %d has non-finite solar: %+v", i, ph)
+			}
 			if ph.Duration < 0 || ph.Cond.Solar < 0 {
 				t.Fatalf("phase %d negative: %+v", i, ph)
 			}
@@ -68,6 +81,9 @@ func FuzzScenario(f *testing.F) {
 		for i, fp := range sc.Faults {
 			if fp.Start < 0 || fp.Duration <= 0 {
 				t.Fatalf("fault %d out of range: %+v", i, fp)
+			}
+			if !finite(fp.Factor) {
+				t.Fatalf("fault %d has non-finite factor: %+v", i, fp)
 			}
 			if fp.Kind == FaultBrownout && (fp.Factor < 0 || fp.Factor >= 1) {
 				t.Fatalf("fault %d factor out of range: %+v", i, fp)

@@ -12,6 +12,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -201,13 +202,16 @@ func (p *Problem) Deadline(task string, t Time) {
 }
 
 // Validate checks structural well-formedness: unique non-empty task
-// names, positive delays, non-negative powers, constraints referencing
-// known tasks (or the anchor), consistent windows, and sane power
-// constraints. It does not check feasibility; that is the scheduler's
-// job.
+// names, positive delays, finite non-negative powers, constraints
+// referencing known tasks (or the anchor), consistent windows, and sane
+// power constraints. It does not check feasibility; that is the
+// scheduler's job.
 func (p *Problem) Validate() error {
 	if len(p.Tasks) == 0 {
 		return fmt.Errorf("model: problem %q has no tasks", p.Name)
+	}
+	if err := p.checkFinite(); err != nil {
+		return err
 	}
 	names := make(map[string]bool, len(p.Tasks))
 	for i, t := range p.Tasks {
@@ -275,6 +279,32 @@ func (p *Problem) Validate() error {
 					return fmt.Errorf("model: task %q has no machine/level choice within Pmax %g W (base %g W)",
 						t.Name, p.Pmax, p.BasePower)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkFinite refuses NaN and ±Inf in every float field of the problem.
+// The range checks in Validate compare with < and >, which NaN passes,
+// and no power, speed or multiplier means anything at infinity.
+func (p *Problem) checkFinite() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	if !finite(p.Pmax) || !finite(p.Pmin) || !finite(p.BasePower) {
+		return fmt.Errorf("model: non-finite power constraint (Pmax=%g, Pmin=%g, base=%g)", p.Pmax, p.Pmin, p.BasePower)
+	}
+	for _, m := range p.Machines {
+		if !finite(m.Speed) || !finite(m.PowerScale) {
+			return fmt.Errorf("model: machine %q has non-finite speed %g or power scale %g", m.Name, m.Speed, m.PowerScale)
+		}
+	}
+	for _, t := range p.Tasks {
+		if !finite(t.Power) {
+			return fmt.Errorf("model: task %q has non-finite power %g", t.Name, t.Power)
+		}
+		for li, lvl := range t.Levels {
+			if !finite(lvl.Mult) || !finite(lvl.Power) {
+				return fmt.Errorf("model: task %q level %d has non-finite multiplier %g or power %g", t.Name, li, lvl.Mult, lvl.Power)
 			}
 		}
 	}

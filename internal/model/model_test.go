@@ -47,6 +47,19 @@ func TestValidateRejections(t *testing.T) {
 		{"negative base", func(p *Problem) { p.BasePower = -2 }, "negative base power"},
 		{"task over budget", func(p *Problem) { p.Tasks[0].Power = 11 }, "exceeds Pmax"},
 		{"task+base over budget", func(p *Problem) { p.BasePower = 8 }, "exceeds Pmax"},
+		{"NaN power", func(p *Problem) { p.Tasks[0].Power = math.NaN() }, "non-finite power"},
+		{"+Inf power", func(p *Problem) { p.Pmax = 0; p.Tasks[0].Power = math.Inf(1) }, "non-finite power"},
+		{"NaN pmax", func(p *Problem) { p.Pmax = math.NaN() }, "non-finite power constraint"},
+		{"+Inf pmax and pmin", func(p *Problem) { p.Pmax, p.Pmin = math.Inf(1), math.Inf(1) }, "non-finite power constraint"},
+		{"NaN pmin", func(p *Problem) { p.Pmin = math.NaN() }, "non-finite power constraint"},
+		{"NaN base", func(p *Problem) { p.BasePower = math.NaN() }, "non-finite power constraint"},
+		{"NaN level power", func(p *Problem) { p.Tasks[0].Levels = []DVSLevel{{Mult: 1, Power: math.NaN()}} }, "non-finite multiplier"},
+		{"+Inf level mult", func(p *Problem) { p.Tasks[0].Levels = []DVSLevel{{Mult: math.Inf(1), Power: 1}} }, "non-finite multiplier"},
+		{"+Inf machine speed", func(p *Problem) { p.Machines = []Machine{{Name: "m", Speed: math.Inf(1), PowerScale: 1}} }, "non-finite speed"},
+		{"+Inf machine power scale", func(p *Problem) {
+			p.Pmax, p.Pmin = 0, 0
+			p.Machines = []Machine{{Name: "m", Speed: 1, PowerScale: math.Inf(1)}}
+		}, "non-finite speed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

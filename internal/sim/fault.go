@@ -81,7 +81,7 @@ func ParseFaults(s string) (FaultModel, error) {
 		}
 		prob := func(dst *float64) error {
 			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x < 0 || x > 1 {
+			if err != nil || !(x >= 0 && x <= 1) {
 				return fmt.Errorf("sim: %s wants a probability in [0,1], got %q", k, v)
 			}
 			*dst = x
@@ -89,7 +89,7 @@ func ParseFaults(s string) (FaultModel, error) {
 		}
 		frac := func(dst *float64) error {
 			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x < 0 || x >= 1 {
+			if err != nil || !(x >= 0 && x < 1) {
 				return fmt.Errorf("sim: %s wants a fraction in [0,1), got %q", k, v)
 			}
 			*dst = x
@@ -109,8 +109,8 @@ func ParseFaults(s string) (FaultModel, error) {
 			err = prob(&m.OverrunProb)
 		case "overrunfrac":
 			x, perr := strconv.ParseFloat(v, 64)
-			if perr != nil || x < 0 {
-				err = fmt.Errorf("sim: overrunfrac wants a fraction >= 0, got %q", v)
+			if perr != nil || !(x >= 0) || math.IsInf(x, 1) {
+				err = fmt.Errorf("sim: overrunfrac wants a finite fraction >= 0, got %q", v)
 			} else {
 				m.OverrunFrac = x
 			}

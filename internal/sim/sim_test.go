@@ -258,7 +258,8 @@ func TestParseFaults(t *testing.T) {
 	if m.BrownoutProb != DefaultFaults().BrownoutProb {
 		t.Errorf("untouched keys should keep defaults: %+v", m)
 	}
-	for _, bad := range []string{"bogus=1", "overrun=2", "overrun=x", "dropoutdur=0", "retries=-1", "degrade=1", "noequals"} {
+	for _, bad := range []string{"bogus=1", "overrun=2", "overrun=x", "dropoutdur=0", "retries=-1", "degrade=1", "noequals",
+		"overrun=NaN", "overrunfrac=+Inf", "overrunfrac=NaN", "degrade=NaN", "brownoutfrac=NaN"} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q) accepted", bad)
 		}

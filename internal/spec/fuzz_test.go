@@ -23,6 +23,8 @@ func FuzzParse(f *testing.F) {
 		"a -> b [,]\n",
 		"task a R 1 1e308\n",
 		strings.Repeat("task t R 1 1\n", 3),
+		"pmax 10\ntask x R 3 NaN\ntask y R 2 1\n",
+		"pmax NaN\ntask x R 3 1\ntask y R 2 1\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -46,7 +48,7 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzParseScheduleJSON exercises the schedule-document reader that
-// /verify and cmd/validate share, against the paper's nine-task
+// /verify and `impacct validate` share, against the paper's nine-task
 // example: it must never panic, and any schedule it accepts must give
 // every task exactly one start and round-trip through
 // FormatScheduleJSON.
