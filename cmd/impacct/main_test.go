@@ -128,6 +128,9 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"ablate", "missing.spec"}, "", 1},
 		{[]string{"sweep", "-pmax", "12,x", spec9}, "", 1},
 		{[]string{"mission", "-scenario", "missing.scenario"}, "", 1},
+		{[]string{"mission", "-battery", "NaN"}, "", 2},
+		{[]string{"mission", "-battery", "-100"}, "", 2},
+		{[]string{"mission", "-battery", "+Inf"}, "", 2},
 		{[]string{"-stage", "bogus", spec9}, "", 1},
 		{[]string{"-format", "bogus", spec9}, "", 1},
 		{[]string{"./rover"}, "", 1},
@@ -139,7 +142,10 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"gen", "-resources", "-2"}, "", 2},
 		{[]string{"gen", "-layers", "-1"}, "", 2},
 		{[]string{"gen", "-max-delay", "-4"}, "", 2},
-		{[]string{"gen", "-max-power", "NaN"}, "", 1},
+		{[]string{"gen", "-max-power", "NaN"}, "", 2},
+		{[]string{"gen", "-max-power", "+Inf"}, "", 2},
+		{[]string{"gen", "-max-power", "0.5", "-tasks", "5"}, "", 2},
+		{[]string{"gen", "-max-power", "1", "-tasks", "5"}, "", 0},
 		{[]string{"gen", "-tasks", "0", "-layers", "0"}, "", 0},
 		{[]string{"validate", spec9}, "", 2},
 		{[]string{"validate", "missing.spec", "missing.json"}, "", 2},

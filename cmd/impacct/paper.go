@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"repro/internal/gantt"
 	"repro/internal/mission"
@@ -159,6 +160,9 @@ func missionCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 		scenario   = fs.String("scenario", "", "load the mission from a scenario file instead of the built-in Table 4 staircase")
 	)
 	return "", 0, func(_ []string, s stdio) error {
+		if !(*capacity >= 0) || math.IsInf(*capacity, 1) {
+			return exitError{2, fmt.Errorf("-battery must be a finite, non-negative capacity, got %g", *capacity)}
+		}
 		phases, n := mission.PaperScenario(), *steps
 		var bat *power.Battery
 		if *capacity != 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro"
@@ -22,13 +23,16 @@ func genCmd(fs *flag.FlagSet) (string, int, func([]string, stdio) error) {
 		resources = fs.Int("resources", 4, "number of execution resources")
 		layers    = fs.Int("layers", 0, "precedence depth (0 = tasks/5)")
 		maxDelay  = fs.Int("max-delay", 8, "maximum task delay in seconds")
-		maxPower  = fs.Float64("max-power", 10, "maximum task power in watts")
+		maxPower  = fs.Float64("max-power", 10, "maximum task power in watts, at least 1 (powers are drawn from [1, max))")
 		seed      = fs.Int64("seed", 0, "generator seed")
 		out       = fs.String("o", "", "output file (default stdout)")
 	)
 	return "", 0, func(_ []string, s stdio) error {
 		if min(*tasks, *resources, *layers, *maxDelay) < 0 {
 			return exitError{2, fmt.Errorf("-tasks, -resources, -layers and -max-delay must not be negative")}
+		}
+		if !(*maxPower >= 1) || math.IsInf(*maxPower, 1) {
+			return exitError{2, fmt.Errorf("-max-power must be a finite number of at least 1 W, got %g", *maxPower)}
 		}
 		p := impacct.GenerateProblem(impacct.GenConfig{
 			Tasks:     *tasks,

@@ -20,7 +20,9 @@ type GenConfig struct {
 	Layers int
 	// MaxDelay bounds task delays in [1, MaxDelay] (default 8).
 	MaxDelay int
-	// MaxPower bounds task powers in (0, MaxPower] (default 10).
+	// MaxPower bounds task powers in [1, MaxPower) (default 10); at 1
+	// every task draws 1 W. Values below 1 are not meaningful: powers
+	// are drawn as 1 + r·(MaxPower − 1).
 	MaxPower float64
 	// EdgeProb is the chance of a precedence edge between tasks in
 	// adjacent layers (default 0.3).

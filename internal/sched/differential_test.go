@@ -95,7 +95,7 @@ func TestDifferentialRover(t *testing.T) {
 
 // TestConcurrentStatesShareNoCache runs many pipelines over the same
 // problem value concurrently. Each run owns a private state (tracker,
-// slack cache, working graph); under -race this fails if any cached
+// gap index, working graph); under -race this fails if any stored
 // slack or profile segment were shared across states. All runs must
 // also agree exactly, since they are seeded identically.
 func TestConcurrentStatesShareNoCache(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 
 // TestEpochBankReuseRace: a worker's state — and with it the
 // epoch-stamped skip set fixSpike marks infeasible delays in, the
-// relaxation undo journal, the slack cache, and the tracker's banks —
+// relaxation undo journal, the gap index, and the tracker's banks —
 // is reused across every restart that worker runs,
 // self-cleaning by epoch bump or truncation rather than a wholesale
 // zeroing pass. A stale mark or journal entry surviving into the next

@@ -76,7 +76,7 @@ func CompactWork(p *model.Problem, opts Options) (trials, accepted, mats int, er
 }
 
 // Audit runs fn with the incremental-core audit installed: every answer
-// a stage takes from the tracker, the slack cache or the live
+// a stage takes from the tracker, the gap index's stored slacks or the live
 // longest-path banks, and every time-validity claim of an accepted gap
 // fill, is checked against its from-scratch reference. It returns how
 // many answers of each kind were checked and the first wrong one, or

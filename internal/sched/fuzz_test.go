@@ -86,10 +86,11 @@ func FuzzPipeline(f *testing.F) {
 		if rep := verify.CheckAssigned(p, r.Schedule, r.Assignment); !rep.OK() {
 			t.Fatalf("pipeline emitted an invalid schedule for:\n%s\n%v", input, rep.Err())
 		}
-		// The incremental core (profile tracker, slack cache, live
-		// longest-path banks) is an engineering optimization: every
-		// answer it gives must match the from-scratch reference, and the
-		// audited run must emit the exact same schedule.
+		// The incremental core (profile tracker, gap index with its
+		// stored slacks, live longest-path banks) is an engineering
+		// optimization: every answer it gives must match the
+		// from-scratch reference, and the audited run must emit the
+		// exact same schedule.
 		var ar *Result
 		_, auditErr := Audit(func() { ar, err = Run(p.Clone(), opts) })
 		if auditErr != nil {

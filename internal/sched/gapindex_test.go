@@ -93,7 +93,7 @@ func TestGapIndexStabRandom(t *testing.T) {
 }
 
 // TestGapIndexFollowsMovesRandom drives the index through its only
-// feed, the slack cache's invalidation: random gap-fill style delays,
+// feed, slack invalidation: random gap-fill style delays,
 // some kept and some rolled back, lock edges and wholesale
 // invalidations, with gapCandidates checked against the full scan at
 // random gap times in between.
