@@ -164,6 +164,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"simulate", "extra"}, "", 2},
 		{[]string{"simulate", "-scenario", "a", "-spec", "b"}, "", 1},
 		{[]string{"simulate", "-faults", "bogus=1"}, "", 1},
+		{[]string{"simulate", "-spec", spec9, "-n", "1", "-faults", "fail=1,retries=4000000000000000000"}, "", 1},
 		{[]string{"simulate", "-n", "5", "-faults", "overrunfrac=+Inf,overrun=1"}, "", 1},
 		{[]string{"simulate", "-n", "5", "-faults", "none", "-min-survival", "1"}, "", 0},
 		{[]string{"edit"}, "", 2},

@@ -36,15 +36,15 @@ func TestPipelineAllocBudget(t *testing.T) {
 // TestCampaignAllocBudget pins the streaming campaign engine's
 // constant-memory property the same way: a warm-cache 16-run campaign
 // (service L1 populated, per-worker scratch in steady state) must stay
-// within a fixed allocation budget. Measured steady state is ~1,350
-// allocs per campaign (~85 per run: each run's faulted environment,
+// within a fixed allocation budget. Measured steady state is ~906
+// allocs per campaign (~57 per run: each run's faulted environment,
 // and for each replan the residual problem, its fingerprint and cache
 // key, the L1 lookup and the verifier check); the budget is ~25% above
 // that and over an order of magnitude below the pre-streaming engine
 // (~37k allocs for the same campaign), so one accidental per-run
 // allocation on the hot loop — a cloned nominal problem, a replay
-// trace, a fault draw into fresh maps — fails here before the CI bench
-// gate sees it.
+// trace, a name-keyed map — fails here before the CI bench gate sees
+// it.
 func TestCampaignAllocBudget(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	c := sim.Campaign{
@@ -57,7 +57,7 @@ func TestCampaignAllocBudget(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 1700
+	const budget = 1130
 	avg := testing.AllocsPerRun(5, func() {
 		if _, err := c.Run(); err != nil {
 			t.Fatal(err)

@@ -50,11 +50,13 @@ type Event struct {
 // Finishes sort before starts at the same instant (the resource is
 // free for the next task), names break remaining ties.
 func Trace(p *model.Problem, s schedule.Schedule) []Event {
+	// Each event carries its task's power change in SystemPower until
+	// the sorted log turns the changes into running totals.
 	var evs []Event
 	for i, t := range p.Tasks {
 		evs = append(evs,
-			Event{T: s.Start[i], Kind: TaskStart, Task: t.Name},
-			Event{T: s.Start[i] + t.Delay, Kind: TaskFinish, Task: t.Name},
+			Event{T: s.Start[i], Kind: TaskStart, Task: t.Name, SystemPower: t.Power},
+			Event{T: s.Start[i] + t.Delay, Kind: TaskFinish, Task: t.Name, SystemPower: -t.Power},
 		)
 	}
 	sort.Slice(evs, func(a, b int) bool {
@@ -67,14 +69,8 @@ func Trace(p *model.Problem, s schedule.Schedule) []Event {
 		return evs[a].Task < evs[b].Task
 	})
 	cur := p.BasePower
-	byName := p.TaskIndex()
 	for i := range evs {
-		task := p.Tasks[byName[evs[i].Task]]
-		if evs[i].Kind == TaskStart {
-			cur += task.Power
-		} else {
-			cur -= task.Power
-		}
+		cur += evs[i].SystemPower
 		evs[i].SystemPower = cur
 	}
 	return evs
@@ -82,7 +78,7 @@ func Trace(p *model.Problem, s schedule.Schedule) []Event {
 
 // Report is the outcome of an execution.
 type Report struct {
-	// Events is the trace.
+	// Events is the trace (Execute only; nil from ExecuteUntil).
 	Events []Event
 	// Finish is the schedule-relative completion time.
 	Finish model.Time
@@ -107,98 +103,45 @@ type Report struct {
 	// meaningful when Violated is true.
 	ViolationAt model.Time
 	// StoppedAt is the instant the replay stopped: ViolationAt on a
-	// violation, min(until, Finish) otherwise. NotStarted and
-	// InFlight describe the residual state at this instant.
+	// violation, min(until, Finish) otherwise. A task that started
+	// before it and had not finished by it was in flight; one starting
+	// at or after it had not started.
 	StoppedAt model.Time
-	// NotStarted lists the tasks whose start time is at or after
-	// StoppedAt — the residual set an online rescheduler plans over.
-	// Ordered by scheduled start, then name.
-	NotStarted []string
-	// InFlight lists the tasks that started before StoppedAt but had
-	// not finished — work a contingency must restart (tasks are
-	// non-preemptive; partial progress is lost). Ordered by scheduled
-	// start, then name.
-	InFlight []string
-
-	// Sort keys parallel to NotStarted/InFlight, kept on the report so
-	// a reused report (Replayer) re-sorts into the same backing arrays
-	// instead of allocating per replay.
-	nsStarts []model.Time
-	ifStarts []model.Time
-}
-
-// residual fills the NotStarted/InFlight sets of the report for the
-// instant the replay stopped. It reuses the report's slice backing
-// (insertion sort by start, then name — residual sets are small), so a
-// reused report allocates nothing once the buffers have grown.
-func (rep *Report) residual(p *model.Problem, s schedule.Schedule, stop model.Time) {
-	rep.StoppedAt = stop
-	rep.NotStarted, rep.nsStarts = rep.NotStarted[:0], rep.nsStarts[:0]
-	rep.InFlight, rep.ifStarts = rep.InFlight[:0], rep.ifStarts[:0]
-	for i, t := range p.Tasks {
-		switch {
-		case s.Start[i] >= stop:
-			rep.NotStarted, rep.nsStarts = insertByStart(rep.NotStarted, rep.nsStarts, t.Name, s.Start[i])
-		case s.Start[i]+t.Delay > stop:
-			rep.InFlight, rep.ifStarts = insertByStart(rep.InFlight, rep.ifStarts, t.Name, s.Start[i])
-		}
-	}
-}
-
-// insertByStart inserts name into the (start, name)-ordered parallel
-// slices, keeping them sorted.
-func insertByStart(names []string, starts []model.Time, name string, start model.Time) ([]string, []model.Time) {
-	i := len(names)
-	for i > 0 && (starts[i-1] > start || (starts[i-1] == start && names[i-1] > name)) {
-		i--
-	}
-	names = append(names, "")
-	starts = append(starts, 0)
-	copy(names[i+1:], names[i:])
-	copy(starts[i+1:], starts[i:])
-	names[i] = name
-	starts[i] = start
-	return names, starts
 }
 
 // Execute replays the schedule starting at mission time offset against
-// the supply. Demand beyond the instantaneous solar output is drawn
-// from the battery; demand beyond solar plus the battery's maximum
-// output is a hard failure, as is battery exhaustion. The battery may
-// be nil when only solar accounting is wanted (any over-solar demand
-// then fails).
+// the supply and attaches its event trace. Demand beyond the
+// instantaneous solar output is drawn from the battery; demand beyond
+// solar plus the battery's maximum output is a hard failure, as is
+// battery exhaustion. The battery may be nil when only solar
+// accounting is wanted (any over-solar demand then fails).
 func Execute(p *model.Problem, s schedule.Schedule, sup power.Supply, bat *power.Battery, offset model.Time) (Report, error) {
-	return ExecuteUntil(p, s, sup, bat, offset, -1)
+	rep, err := ExecuteUntil(p, s, sup, bat, offset, -1)
+	rep.Events = Trace(p, s)
+	return rep, err
 }
 
 // ExecuteUntil replays only the first `until` seconds of the schedule
 // (a negative until, or one at or beyond the finish time, replays the
-// whole schedule). Whether the replay completes, stops at the horizon,
-// or fails, the report carries the residual state — the violation
-// instant when one occurred, plus the NotStarted and InFlight task
-// sets at the stop instant — so an online rescheduler can build the
-// contingency problem without re-deriving it from the event trace.
+// whole schedule). It builds no event trace (rep.Events is nil) and
+// allocates nothing unless it fails. Whether the replay completes,
+// stops at the horizon, or fails, the report carries the instant it
+// stopped, so an online rescheduler can split the tasks into done, in
+// flight and not started without re-deriving the trace. The float
+// accumulation order (base power, then tasks in index order, per
+// second) is part of the contract: campaign determinism relies on
+// every replay summing in the same order.
 func ExecuteUntil(p *model.Problem, s schedule.Schedule, sup power.Supply, bat *power.Battery, offset, until model.Time) (Report, error) {
-	rep := Report{Events: Trace(p, s), Finish: s.Finish(p.Tasks)}
-	err := replayCore(&rep, p, s, sup, bat, offset, until)
-	return rep, err
-}
-
-// replayCore is the second-by-second replay shared by ExecuteUntil and
-// Replayer. It expects rep.Finish to be set and accounts everything
-// else into rep. The float accumulation order (base power, then tasks
-// in index order, per second) is part of the contract: campaign
-// determinism relies on every replay path summing in the same order.
-func replayCore(rep *Report, p *model.Problem, s schedule.Schedule, sup power.Supply, bat *power.Battery, offset, until model.Time) error {
+	rep := Report{Finish: s.Finish(p.Tasks)}
 	end := rep.Finish
 	if until >= 0 && until < end {
 		end = until
 	}
-	fail := func(t model.Time, err error) error {
+	fail := func(t model.Time, err error) (Report, error) {
 		rep.Violated = true
 		rep.ViolationAt = t
-		rep.residual(p, s, t)
-		return err
+		rep.StoppedAt = t
+		return rep, err
 	}
 	for t := model.Time(0); t < end; t++ {
 		demand := p.BasePower
@@ -242,6 +185,6 @@ func replayCore(rep *Report, p *model.Problem, s schedule.Schedule, sup power.Su
 		}
 		rep.BatteryUsed += draw
 	}
-	rep.residual(p, s, end)
-	return nil
+	rep.StoppedAt = end
+	return rep, nil
 }

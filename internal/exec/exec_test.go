@@ -192,22 +192,10 @@ func TestExecuteRoverMatchesStaticCost(t *testing.T) {
 	}
 }
 
-func namesEqual(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestExecuteViolationResidualSolarDropout: the solar output drops to
 // zero mid-schedule with no battery; the report must pin the exact
-// violation instant and split the tasks into in-flight and
-// not-yet-started sets at that instant.
+// violation instant and account exactly the seconds before it. (The
+// in-flight/not-started split at that instant is sim's, tested there.)
 func TestExecuteViolationResidualSolarDropout(t *testing.T) {
 	p := &model.Problem{
 		Name: "dropout",
@@ -228,13 +216,6 @@ func TestExecuteViolationResidualSolarDropout(t *testing.T) {
 	if !rep.Violated || rep.ViolationAt != 3 || rep.StoppedAt != 3 {
 		t.Fatalf("violation at %d (stopped %d, violated %v), want instant 3",
 			rep.ViolationAt, rep.StoppedAt, rep.Violated)
-	}
-	// a runs [0,4), b runs [2,6): both in flight at t=3. c has not started.
-	if !namesEqual(rep.InFlight, []string{"a", "b"}) {
-		t.Errorf("in-flight = %v, want [a b]", rep.InFlight)
-	}
-	if !namesEqual(rep.NotStarted, []string{"c"}) {
-		t.Errorf("not-started = %v, want [c]", rep.NotStarted)
 	}
 	// Seconds [0,3) were accounted: demand 4 W, 4 W, 7 W.
 	if math.Abs(rep.Energy-15) > 1e-9 {
@@ -271,13 +252,13 @@ func TestExecuteViolationResidualBatteryBoundary(t *testing.T) {
 	if math.Abs(rep.Energy-20) > 1e-9 {
 		t.Errorf("energy = %g, want 20 (failed second not accounted)", rep.Energy)
 	}
-	if !namesEqual(rep.InFlight, []string{"a"}) || len(rep.NotStarted) != 0 {
-		t.Errorf("residual = in-flight %v, not-started %v", rep.InFlight, rep.NotStarted)
+	if rep.StoppedAt != 4 {
+		t.Errorf("stopped at %d, want 4", rep.StoppedAt)
 	}
 }
 
 // TestExecuteUntilPartialReplay: a horizon short of the finish stops
-// the replay cleanly and still reports the residual state there.
+// the replay cleanly there, with no trace and no allocation.
 func TestExecuteUntilPartialReplay(t *testing.T) {
 	p, s := simpleProblem() // a [0,3), b [3,5)
 	sup := power.Supply{Solar: power.NewSolar(10)}
@@ -288,26 +269,34 @@ func TestExecuteUntilPartialReplay(t *testing.T) {
 	if rep.Violated || rep.StoppedAt != 2 {
 		t.Fatalf("stopped at %d (violated %v), want clean stop at 2", rep.StoppedAt, rep.Violated)
 	}
-	if !namesEqual(rep.InFlight, []string{"a"}) || !namesEqual(rep.NotStarted, []string{"b"}) {
-		t.Errorf("residual = in-flight %v, not-started %v", rep.InFlight, rep.NotStarted)
+	if rep.Events != nil {
+		t.Errorf("ExecuteUntil built a trace of %d events", len(rep.Events))
 	}
 	if math.Abs(rep.Energy-10) > 1e-9 { // two seconds at 5 W
 		t.Errorf("energy = %g, want 10", rep.Energy)
 	}
-	// A start exactly at the stop instant is not started.
-	rep, err = ExecuteUntil(p, s, sup, nil, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !namesEqual(rep.NotStarted, []string{"b"}) || len(rep.InFlight) != 0 {
-		t.Errorf("t=3 residual = in-flight %v, not-started %v", rep.InFlight, rep.NotStarted)
-	}
-	// Beyond the finish the replay completes and the residual is empty.
+	// Beyond the finish the replay completes and stops at the finish,
+	// with the ledgers Execute reports.
 	rep, err = ExecuteUntil(p, s, sup, nil, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StoppedAt != rep.Finish || len(rep.NotStarted) != 0 || len(rep.InFlight) != 0 {
-		t.Errorf("full replay residual = %v / %v at %d", rep.InFlight, rep.NotStarted, rep.StoppedAt)
+	full, err := Execute(p, s, sup, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StoppedAt != rep.Finish || rep.Finish != full.Finish || rep.Energy != full.Energy ||
+		rep.SolarUsed != full.SolarUsed || rep.SolarWasted != full.SolarWasted || rep.PeakDemand != full.PeakDemand {
+		t.Errorf("full replay = %+v, Execute = %+v", rep, full)
+	}
+	if len(full.Events) != 2*len(p.Tasks) {
+		t.Errorf("Execute trace has %d events, want %d", len(full.Events), 2*len(p.Tasks))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ExecuteUntil(p, s, sup, nil, 0, -1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("successful ExecuteUntil: %.0f allocs, want 0", allocs)
 	}
 }

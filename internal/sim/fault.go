@@ -57,6 +57,11 @@ func DefaultFaults() FaultModel {
 	}
 }
 
+// MaxFaultRetries bounds the retries key of a parsed fault spec: a run
+// draws up to retries+1 attempts per task without checking its context,
+// so an unbounded count would let one request pin a core.
+const MaxFaultRetries = 100
+
 // ParseFaults parses the CLI's comma-separated key=value fault spec,
 // starting from DefaultFaults. The empty string is the default model;
 // "none" (or "off") disables all randomized faults. Keys: overrun,
@@ -118,8 +123,8 @@ func ParseFaults(s string) (FaultModel, error) {
 			err = prob(&m.FailProb)
 		case "retries":
 			x, perr := strconv.Atoi(v)
-			if perr != nil || x < 0 {
-				err = fmt.Errorf("sim: retries wants an int >= 0, got %q", v)
+			if perr != nil || x < 0 || x > MaxFaultRetries {
+				err = fmt.Errorf("sim: retries wants an int in [0,%d], got %q", MaxFaultRetries, v)
 			} else {
 				m.MaxRetries = x
 			}
@@ -152,38 +157,31 @@ type window struct {
 	factor     float64
 }
 
-// runFaults is the realized perturbation of one run.
+// runFaults is the realized perturbation of one run. Its task slices
+// are indexed like the nominal plan's tasks.
 type runFaults struct {
-	// actual maps each task to its realized delay: nominal, scaled by
-	// any overrun, multiplied by the retry count.
-	actual map[string]model.Time
-	// fatal marks tasks whose transient failures exhausted the retry
-	// budget; the mission is lost outright.
-	fatal map[string]bool
+	// actual is each task's realized delay: nominal, scaled by any
+	// overrun, multiplied by the retry count.
+	actual []model.Time
+	// fatal reports whether any task's transient failures exhausted
+	// the retry budget; the mission is then lost outright.
+	fatal bool
 	// windows are the solar degradation intervals, scripted first.
 	windows []window
 	// degrade is the battery capacity loss fraction.
 	degrade float64
 }
 
-// draw realizes one run's faults into f, reusing its storage: f's maps
-// are cleared and its window slice truncated, so a campaign worker
-// redraws every run without reallocating. The RNG consumption order is
+// draw realizes one run's faults into f, reusing its storage: f's
+// slices are truncated and refilled, so a campaign worker redraws every
+// run without reallocating. The RNG consumption order is
 // fixed — tasks in problem order (overrun, then retries), then
 // brownout, dropout, degradation — so a given (model, seed, task set)
 // always yields the same perturbation regardless of scheduling
 // concurrency.
 func (m FaultModel) draw(f *runFaults, rng *rand.Rand, tasks []model.Task, scripted []mission.FaultPhase, horizon model.Time) {
-	if f.actual == nil {
-		f.actual = make(map[string]model.Time, len(tasks))
-	} else {
-		clear(f.actual)
-	}
-	if f.fatal == nil {
-		f.fatal = make(map[string]bool)
-	} else {
-		clear(f.fatal)
-	}
+	f.actual = f.actual[:0]
+	f.fatal = false
 	f.windows = f.windows[:0]
 	f.degrade = 0
 	for _, t := range tasks {
@@ -198,13 +196,13 @@ func (m FaultModel) draw(f *runFaults, rng *rand.Rand, tasks []model.Task, scrip
 			}
 		}
 		if fails > m.MaxRetries {
-			f.fatal[t.Name] = true
+			f.fatal = true
 		}
 		d := model.Time(math.Ceil(float64(t.Delay) * (1 + frac)))
 		if d < t.Delay {
 			d = t.Delay
 		}
-		f.actual[t.Name] = d * model.Time(1+fails)
+		f.actual = append(f.actual, d*model.Time(1+fails))
 	}
 	for _, fp := range scripted {
 		factor := fp.Factor

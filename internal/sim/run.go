@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"slices"
 
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/power"
 	rtlib "repro/internal/runtime"
@@ -150,11 +152,11 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 			lib.Add(rtlib.NewEntry(st.String(), r.EffectiveProblem(), r.Schedule))
 		}
 	}
-	tried := make(map[string]bool)
+	var tried []string // at most the two fallback stages
 	for {
 		var cand rtlib.Selector
 		for _, e := range lib.Entries() {
-			if !tried[e.Name] {
+			if !slices.Contains(tried, e.Name) {
 				cand.Add(e)
 			}
 		}
@@ -162,7 +164,7 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 		if !ok {
 			return nil, schedule.Schedule{}, "", rejects, false
 		}
-		tried[e.Name] = true
+		tried = append(tried, e.Name)
 		if check(e.Prob, e.Sched, e.Name) {
 			return e.Prob, e.Sched, e.Name, rejects, true
 		}
@@ -173,11 +175,12 @@ func adopt(ctx context.Context, prob *model.Problem, cfg runConfig, at model.Tim
 // plans the same nominal problem under the same starting conditions,
 // so campaigns hoist this once per fan-out and re-account the outcome
 // (rejects, fallback counting) per run — byte-identical to each run
-// adopting it itself. p0 is the adopted plan's resolved problem; it
-// and the schedule are shared read-only.
+// adopting it itself. p0 is the adopted plan's resolved problem and
+// seg its index tables; they and the schedule are shared read-only.
 type nominalPlan struct {
 	p0      *model.Problem
 	s0      schedule.Schedule
+	seg     segment
 	source  string
 	rejects int
 	ok      bool
@@ -193,6 +196,7 @@ func hoistNominal(ctx context.Context, cfg runConfig) *nominalPlan {
 	p0, s0, source, rejects, ok := adopt(ctx, p, cfg, 0)
 	nom := &nominalPlan{p0: p0, s0: s0, source: source, rejects: rejects, ok: ok}
 	if ok {
+		nom.seg = nominalSegment(p0)
 		nom.finish0 = s0.Finish(p0.Tasks)
 	}
 	return nom
@@ -239,11 +243,9 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 	}
 	cfg.Faults.draw(&sc.faults, rng, p0.Tasks, m.Faults, horizon)
 	faults := &sc.faults
-	for _, t := range p0.Tasks {
-		if faults.fatal[t.Name] {
-			res.Failure = FailTask
-			return res
-		}
+	if faults.fatal {
+		res.Failure = FailTask
+		return res
 	}
 	env := buildEnvironment(m.Phases, faults.windows)
 	bat := power.Battery{
@@ -254,21 +256,24 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 
 	// The contingency loop. T is the mission time the current segment
 	// started; P/S are the segment's resolved problem and schedule
-	// (times are segment-relative).
+	// (times are segment-relative) and seg its index tables. A residual's
+	// tables are built into spare, the scratch tables seg is not using.
 	T := model.Time(0)
 	P, S := p0, s0
+	seg, spare := &nom.seg, &sc.segs[0]
 	for {
 		if ctx.Err() != nil {
 			res.Failure = FailCanceled
 			res.Finish = T
 			return res
 		}
+		D := sc.delayedProblem(P, seg.orig, faults.actual)
 		until := model.Time(-1)
-		tc, hasTC := timingConflict(P, sc.taskIndex(P), faults.actual, S)
+		tc, hasTC := timingConflict(P, D, seg, S)
 		if hasTC {
 			until = tc
 		}
-		rep, execErr := sc.replayer.ExecuteUntil(sc.delayedProblem(P, faults.actual), S, sup, &bat, T, until)
+		rep, execErr := exec.ExecuteUntil(D, S, sup, &bat, T, until)
 		res.EnergyCost = bat.Drawn()
 		switch {
 		case execErr != nil:
@@ -289,20 +294,12 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 		}
 		res.Reschedules++
 		// In-flight work is restarted (tasks are non-preemptive;
-		// partial progress is lost), so the pending set is both lists.
-		// In-flight tasks have revealed their true duration: the
-		// contingency plans with it rather than re-trusting the
-		// nominal delay (which would re-create the same conflict).
-		// Copies, not aliases: the replayer owns rep's slices and
-		// overwrites them on the next replay.
-		sc.pending = append(append(sc.pending[:0], rep.InFlight...), rep.NotStarted...)
-		pending := sc.pending
-		clear(sc.revealed)
-		revealed := sc.revealed
-		for _, n := range rep.InFlight {
-			revealed[n] = faults.actual[n]
-		}
-		if len(pending) == 0 {
+		// partial progress is lost), so the pending set is both the
+		// in-flight and the not-started tasks. In-flight tasks have
+		// revealed their true duration: the contingency plans with it
+		// rather than re-trusting the nominal delay (which would
+		// re-create the same conflict).
+		if sc.split(D, S, stop) == 0 {
 			// The final second of the mission failed with nothing left
 			// to replan around.
 			res.Failure = FailBattery
@@ -320,7 +317,7 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 				res.Finish = cur
 				return res
 			}
-			q, drops := residualProblem(P, S, pending, cur-T, revealed)
+			q, drops := residualProblem(P, S, seg, faults.actual, sc.pending, sc.inFlight, cur-T, spare)
 			q.Pmin = sup.PminAt(cur)
 			headroom := 0.0
 			// Offer the battery's output only when it can actually
@@ -338,6 +335,10 @@ func runOne(ctx context.Context, cfg runConfig, sc *runScratch, nom *nominalPlan
 					}
 					res.ConstraintDrops += drops
 					T, P, S = cur, q2, s2
+					seg, spare = spare, &sc.segs[0]
+					if seg == spare {
+						spare = &sc.segs[1]
+					}
 					adopted = true
 					continue
 				}

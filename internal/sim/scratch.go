@@ -3,41 +3,39 @@ package sim
 import (
 	"math/rand"
 
-	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/randsrc"
+	"repro/internal/schedule"
 )
 
 // runScratch is the per-worker reusable state of the run loop: the
-// run RNG, the realized fault set, the replayer and its buffers, and
-// the perturbed-problem copy. One scratch serves one goroutine for the
+// run RNG, the realized fault set, the perturbed-problem copy, the
+// residual state between a replay and its replans, and the residual
+// segments' index tables. One scratch serves one goroutine for the
 // lifetime of a campaign; nothing in it is shared.
 type runScratch struct {
 	rng *rand.Rand
 
-	faults   runFaults
-	replayer exec.Replayer
+	faults runFaults
 
-	// delayed is the reusable perturbed problem handed to the
-	// replayer; taskBuf backs its task slice.
+	// delayed is the reusable perturbed problem handed to the replay;
+	// taskBuf backs its task slice.
 	delayed model.Problem
 	taskBuf []model.Task
 
-	// pending and revealed carry the residual state between a replay
-	// and the replans that consume it.
-	pending  []string
-	revealed map[string]model.Time
+	// pending and inFlight mark, by segment task index, the tasks still
+	// pending when the segment's replay stopped and those of them that
+	// had started.
+	pending, inFlight []bool
 
-	// idx memoizes TaskIndex for the current segment problem (keyed by
-	// pointer — a campaign's shared nominal problem hits across runs).
-	idxProb *model.Problem
-	idx     map[string]int
+	// segs back the residual segments' tables: two, so a residual is
+	// built from its parent's while the parent's stay readable.
+	segs [2]segment
 }
 
 func newRunScratch() *runScratch {
 	return &runScratch{
-		rng:      rand.New(new(randsrc.Source)), // seeded per run by seed
-		revealed: make(map[string]model.Time),
+		rng: rand.New(new(randsrc.Source)), // seeded per run by seed
 	}
 }
 
@@ -52,26 +50,37 @@ func (sc *runScratch) seed(seed int64) *rand.Rand {
 }
 
 // delayedProblem returns p with the run's realized delays applied,
-// built in the scratch problem. Only the task slice is copied — the
-// replay reads nothing else that the delay overlay changes
+// built in the scratch problem; orig is the segment's map to the
+// nominal tasks actual is indexed by. Only the task slice is copied —
+// the replay reads nothing else that the delay overlay changes
 // (constraints alias p's).
-func (sc *runScratch) delayedProblem(p *model.Problem, actual map[string]model.Time) *model.Problem {
+func (sc *runScratch) delayedProblem(p *model.Problem, orig []int, actual []model.Time) *model.Problem {
 	sc.taskBuf = append(sc.taskBuf[:0], p.Tasks...)
 	sc.delayed = *p
 	sc.delayed.Tasks = sc.taskBuf
 	for i := range sc.delayed.Tasks {
-		if d, ok := actual[sc.delayed.Tasks[i].Name]; ok && d > sc.delayed.Tasks[i].Delay {
+		if d := actual[orig[i]]; d > sc.delayed.Tasks[i].Delay {
 			sc.delayed.Tasks[i].Delay = d
 		}
 	}
 	return &sc.delayed
 }
 
-// taskIndex memoizes p.TaskIndex() for the current segment problem.
-func (sc *runScratch) taskIndex(p *model.Problem) map[string]int {
-	if sc.idxProb != p {
-		sc.idxProb = p
-		sc.idx = p.TaskIndex()
+// split marks the tasks of a segment replayed on d (the segment's tasks
+// on their realized delays) that are pending at the instant stop: in
+// flight (started before it, finishing after it) or not started
+// (starting at or after it). It returns how many are pending.
+func (sc *runScratch) split(d *model.Problem, s schedule.Schedule, stop model.Time) int {
+	sc.pending, sc.inFlight = sc.pending[:0], sc.inFlight[:0]
+	n := 0
+	for i := range d.Tasks {
+		started := s.Start[i] < stop
+		pend := !started || s.Start[i]+d.Tasks[i].Delay > stop
+		sc.pending = append(sc.pending, pend)
+		sc.inFlight = append(sc.inFlight, pend && started)
+		if pend {
+			n++
+		}
 	}
-	return sc.idx
+	return n
 }

@@ -135,26 +135,26 @@ func TestTimingConflict(t *testing.T) {
 	}
 	s := schedule.Schedule{Start: []model.Time{0, 2, 4}}
 
-	if _, ok := timingConflict(p, p.TaskIndex(), map[string]model.Time{}, s); ok {
+	if _, ok := conflictByName(p, map[string]model.Time{}, s); ok {
 		t.Fatal("nominal delays reported a conflict")
 	}
 	// a overruns to 3: same-resource conflict with b at its start 2.
-	if at, ok := timingConflict(p, p.TaskIndex(), map[string]model.Time{"a": 3}, s); !ok || at != 2 {
+	if at, ok := conflictByName(p, map[string]model.Time{"a": 3}, s); !ok || at != 2 {
 		t.Errorf("overrun a=3: conflict = %d, %v, want 2, true", at, ok)
 	}
 	// a overruns to 5: b conflicts at 2 (earlier than c's dependency
 	// conflict at 4).
-	if at, ok := timingConflict(p, p.TaskIndex(), map[string]model.Time{"a": 5}, s); !ok || at != 2 {
+	if at, ok := conflictByName(p, map[string]model.Time{"a": 5}, s); !ok || at != 2 {
 		t.Errorf("overrun a=5: conflict = %d, %v, want 2, true", at, ok)
 	}
 	// b overruns past c's start: only the dependency a->c is a
 	// finish-to-start edge, and b/c share no resource, so b's overrun
 	// alone conflicts with nothing.
-	if _, ok := timingConflict(p, p.TaskIndex(), map[string]model.Time{"b": 5}, s); ok {
+	if _, ok := conflictByName(p, map[string]model.Time{"b": 5}, s); ok {
 		t.Error("overrun b=5 reported a conflict; b and c are unrelated")
 	}
 	// c overruns: nothing depends on c.
-	if _, ok := timingConflict(p, p.TaskIndex(), map[string]model.Time{"c": 9}, s); ok {
+	if _, ok := conflictByName(p, map[string]model.Time{"c": 9}, s); ok {
 		t.Error("overrun c=9 reported a conflict")
 	}
 }
@@ -176,7 +176,7 @@ func TestResidualProblem(t *testing.T) {
 		},
 	}
 	s := schedule.Schedule{Start: []model.Time{0, 2, 5}}
-	q, drops := residualProblem(p, s, []string{"b", "c"}, 4, nil)
+	q, drops := residualByName(p, s, []string{"b", "c"}, 4, nil)
 	if drops != 0 {
 		t.Fatalf("drops = %d, want 0", drops)
 	}
@@ -207,7 +207,7 @@ func TestResidualProblem(t *testing.T) {
 	// A deadline already in the past is dropped and counted.
 	p2 := p.Clone()
 	p2.Constraints = append(p2.Constraints, model.Constraint{From: model.Anchor, To: "b", Min: 0, Max: 3, HasMax: true})
-	_, drops = residualProblem(p2, s, []string{"b", "c"}, 4, nil)
+	_, drops = residualByName(p2, s, []string{"b", "c"}, 4, nil)
 	if drops != 1 {
 		t.Errorf("drops = %d, want 1 (deadline 3 at elapsed 4)", drops)
 	}
@@ -226,7 +226,7 @@ func TestResidualProblemPromotesRevealedDelays(t *testing.T) {
 		},
 	}
 	s := schedule.Schedule{Start: []model.Time{0, 2}}
-	q, _ := residualProblem(p, s, []string{"a", "b"}, 1, map[string]model.Time{"a": 5})
+	q, _ := residualByName(p, s, []string{"a", "b"}, 1, map[string]model.Time{"a": 5})
 	if q.Tasks[0].Delay != 5 {
 		t.Errorf("promoted delay = %d, want 5", q.Tasks[0].Delay)
 	}
@@ -248,6 +248,9 @@ func TestParseFaults(t *testing.T) {
 	if m, err := ParseFaults("none"); err != nil || m != (FaultModel{}) {
 		t.Errorf("ParseFaults(none) = %+v, %v, want zero model", m, err)
 	}
+	if m, err := ParseFaults("retries=100"); err != nil || m.MaxRetries != MaxFaultRetries {
+		t.Errorf("ParseFaults(retries=100) = %+v, %v, want the bound accepted", m, err)
+	}
 	m, err := ParseFaults("overrun=0.5,retries=3,dropoutdur=90, degrade=0")
 	if err != nil {
 		t.Fatalf("ParseFaults: %v", err)
@@ -258,7 +261,7 @@ func TestParseFaults(t *testing.T) {
 	if m.BrownoutProb != DefaultFaults().BrownoutProb {
 		t.Errorf("untouched keys should keep defaults: %+v", m)
 	}
-	for _, bad := range []string{"bogus=1", "overrun=2", "overrun=x", "dropoutdur=0", "retries=-1", "degrade=1", "noequals",
+	for _, bad := range []string{"bogus=1", "overrun=2", "overrun=x", "dropoutdur=0", "retries=-1", "retries=101", "fail=1,retries=4000000000000000000", "degrade=1", "noequals",
 		"overrun=NaN", "overrunfrac=+Inf", "overrunfrac=NaN", "degrade=NaN", "brownoutfrac=NaN"} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q) accepted", bad)
@@ -267,9 +270,11 @@ func TestParseFaults(t *testing.T) {
 }
 
 func TestParseFaultsErrorsMentionKey(t *testing.T) {
-	_, err := ParseFaults("brownoutdur=-5")
-	if err == nil || !strings.Contains(err.Error(), "brownoutdur") {
-		t.Errorf("error %v should name the offending key", err)
+	for spec, key := range map[string]string{"brownoutdur=-5": "brownoutdur", "retries=101": "retries"} {
+		_, err := ParseFaults(spec)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseFaults(%q): error %v should name the offending key", spec, err)
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ func TestSimulateErrors(t *testing.T) {
 		{"/simulate?problem=nine-task-example&n=100000", http.StatusBadRequest},
 		{"/simulate?problem=nine-task-example&seed=x", http.StatusBadRequest},
 		{"/simulate?problem=nine-task-example&faults=bogus=1", http.StatusBadRequest},
+		{"/simulate?problem=nine-task-example&faults=fail=1,retries=4000000000000000000", http.StatusBadRequest},
 		{"/simulate?problem=nine-task-example&format=pdf", http.StatusBadRequest},
 	} {
 		if code, body, _ := get(t, ts.URL+tc.url); code != tc.code {
